@@ -58,6 +58,8 @@ class FitConfig:
             raise ValueError("min_group must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass
@@ -65,7 +67,8 @@ class FitResult:
     """Outcome of a search.
 
     value is the maximized objective at ``labels`` and equals
-    max(restart_values); iterations counts accepted flips over all restarts.
+    max(restart_values); restart_iterations counts accepted flips per
+    restart, in restart order, and iterations is their sum.
     A degenerate result means the objective carried no signal anywhere
     (zero null variance for every reachable group size): value is 0 and
     labels are just the initial partition.
@@ -76,6 +79,7 @@ class FitResult:
     iterations: int = 0
     degenerate: bool = False
     objective: Objective | None = None
+    restart_iterations: list[int] = field(default_factory=list)
 
 
 def _z_values(kind, r1, r2, m, n_nodes, tables):
@@ -143,24 +147,213 @@ def _all_degenerate(obj, tables, n, min_group):
     return bool(np.all(flags[ms]))
 
 
-def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitResult:
-    """Best-improvement single-flip local search with random restarts.
+def _z_coefficients(objs, tables, n, min_group):
+    """Flip-pricing tables of Z objectives, one block of N + 3 slots per
+    objective, slot 1 + m holding group size m after the flip.
 
-    Each sweep prices all N candidate flips at once (O(N + |E|) per sweep via
-    incident-edge bookkeeping), applies the best strictly-improving one (ties
-    to the lowest node index), and stops at a local optimum.  The best
-    terminal partition across restarts is returned.
+    A flip's value is ((A R1 + B R2) / C - mu) / sd with R1, R2 the counts
+    after it: Z_w has A = N - m - 1, B = m - 1, C = N - 2 and Z_d has
+    A = 1, B = -1, C = 1; ZW_MIN divides by -sd.  A degenerate size gets
+    A = B = mu = 0 and sd = +-1, so the value is a signed 0, and a size
+    outside [min_group, N - min_group] gets mu = +inf, so the value is -inf.
+    The results are bit for bit those of ``_z_values``: IEEE arithmetic
+    gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly.
+    Returns (A, B, mu, sd) and the per-objective C.
     """
-    cfg = cfg if cfg is not None else FitConfig()
+    mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
+    m = np.arange(-1, n + 2)
+    mc = np.clip(m, 0, n)
+    valid = (m >= min_group) & (m <= n - min_group)
+    blocks, scales = [], []
+    for obj in objs:
+        if obj is Objective.ZD_MAX:
+            a, b = np.ones(m.size), np.full(m.size, -1.0)
+            mu, sd, deg, scale = mu_d[mc], s_d[mc], deg_d[mc] & valid, 1.0
+        else:
+            a, b = (n - m - 1).astype(np.float64), (m - 1).astype(np.float64)
+            mu, sd, deg, scale = mu_w[mc], s_w[mc], deg_w[mc] & valid, n - 2.0
+        sign = -1.0 if obj is Objective.ZW_MIN else 1.0
+        live = valid & ~deg
+        blocks.append((np.where(live, a, 0.0), np.where(live, b, 0.0),
+                       np.where(live, mu, np.where(deg, 0.0, np.inf)),
+                       np.where(live, sign * sd, np.where(deg, sign, 1.0))))
+        scales.append(scale)
+    return tuple(np.concatenate(t) for t in zip(*blocks)), np.array(scales)
+
+
+class _Lanes:
+    """Search state of the lanes still running, one row per (objective,
+    restart) pair.
+
+    (L, N) rows: ``sg`` is +1 for a node labelled 0 and -1 for a node
+    labelled 1, which is the change of m1 if the node flips; ``d1``/``d2``
+    are the changes of R1/R2 if it flips: +w1/-w0 for a node labelled 0,
+    -w1/+w0 for one labelled 1, with w1/w0 its incident edges whose other
+    end is labelled 1/0.  Per lane: R1, R2, m1, the current value and, for
+    the modularity objectives, the block degree sums.  Every running lane
+    has made the same number of flips; a lane that stops is recorded and its
+    row dropped.
+    """
+
+    def __init__(self, g, objs, starts, tables, min_group):
+        n = g.n_nodes
+        n_lanes = len(objs) * len(starts)
+        self.g, self.objs, self.restarts = g, objs, len(starts)
+        self.indptr, self.indices = g.incidence()
+        self.inc_counts = np.diff(self.indptr)
+        self.z_family = tables is not None
+        self.k_out = g.k_out.astype(np.float64)
+        self.k_in = g.k_in.astype(np.float64)
+
+        self.lane = np.arange(n_lanes)
+        self.sg = np.empty((n_lanes, n), dtype=np.intp)
+        self.d1 = np.empty((n_lanes, n))
+        self.d2 = np.empty((n_lanes, n))
+        self.r1, self.r2 = np.empty(n_lanes), np.empty(n_lanes)
+        self.m1 = np.empty(n_lanes, dtype=np.intp)
+        ends = np.repeat(np.arange(n), self.inc_counts)
+        for r, lab in enumerate(starts):
+            # lanes r, r + R, r + 2R, ...: restart r of every objective
+            rows = slice(r, n_lanes, self.restarts)
+            is1 = lab == 1
+            w1 = np.bincount(ends, weights=lab[self.indices], minlength=n)
+            w0 = self.inc_counts - w1
+            self.sg[rows] = np.where(is1, -1, 1)
+            self.d1[rows] = np.where(is1, -w1, w1)
+            self.d2[rows] = np.where(is1, w0, -w0)
+            self.r1[rows] = w1[is1].sum() / 2
+            self.r2[rows] = w0[~is1].sum() / 2
+            self.m1[rows] = np.count_nonzero(is1)
+
+        kind = self.lane // self.restarts
+        if self.z_family:
+            (self.a, self.b, self.mu, self.sd), scales = _z_coefficients(
+                objs, tables, n, min_group)
+            self.toff = kind * (n + 3) + 1
+            self.scale = scales[kind]
+            self.cur = np.empty(n_lanes)
+            for k, obj in enumerate(objs):
+                sl = kind == k
+                self.cur[sl] = _z_values(obj, self.r1[sl], self.r2[sl],
+                                         self.m1[sl], n, tables)
+            self.fields = ("scale",)
+        else:
+            m = np.arange(-1, n + 2)
+            self.kill = np.where((m >= min_group) & (m <= n - min_group),
+                                 0.0, np.inf)
+            self.toff = np.ones(n_lanes, dtype=np.intp)
+            is1 = self.sg < 0
+            self.ko1 = np.where(is1, self.k_out, 0.0).sum(axis=1)
+            self.ki1 = np.where(is1, self.k_in, 0.0).sum(axis=1)
+            self.ko0 = self.k_out.sum() - self.ko1
+            self.ki0 = self.k_in.sum() - self.ki1
+            self.cur = _q_values(objs[0], self.r1, self.r2, self.ko1,
+                                 self.ki1, self.ko0, self.ki0,
+                                 float(g.n_edges), g.directed)
+            self.fields = ("ko1", "ki1", "ko0", "ki0")
+        self.fields += ("lane", "sg", "d1", "d2", "r1", "r2", "m1", "cur", "toff")
+        self.rows_n = self.lane * n
+
+        self.out_lab = np.empty((n_lanes, n), dtype=np.int8)
+        self.out_val = np.empty(n_lanes)
+        self.out_iters = np.empty(n_lanes, dtype=np.int64)
+
+    @property
+    def running(self):
+        return self.lane.size
+
+    def price(self):
+        """(L, N) value of every flip; -inf where it leaves min_group."""
+        r1n = self.d1 + self.r1[:, None]
+        r2n = self.d2 + self.r2[:, None]
+        idx = self.sg + (self.toff + self.m1)[:, None]
+        if self.z_family:
+            v = self.a.take(idx)
+            v *= r1n
+            r2n *= self.b.take(idx)
+            v += r2n
+            v /= self.scale[:, None]
+            v -= self.mu.take(idx)
+            v /= self.sd.take(idx)
+            return v
+        ko1n = self.sg * self.k_out
+        ko1n += self.ko1[:, None]
+        ki1n = self.sg * self.k_in
+        ki1n += self.ki1[:, None]
+        v = _q_values(self.objs[0], r1n, r2n, ko1n, ki1n,
+                      (self.ko0 + self.ko1)[:, None] - ko1n,
+                      (self.ki0 + self.ki1)[:, None] - ki1n,
+                      float(self.g.n_edges), self.g.directed)
+        v -= self.kill.take(idx)
+        return v
+
+    def flip(self, best, value):
+        """Flip node ``best[l]`` of every lane l, whose new value is
+        ``value[l]``."""
+        at = self.rows_n + best
+        sg, d1, d2 = self.sg.reshape(-1), self.d1.reshape(-1), self.d2.reshape(-1)
+        up = sg[at]
+        self.r1 += d1[at]
+        self.r2 += d2[at]
+        self.m1 += up
+        d1[at] *= -1
+        d2[at] *= -1
+        sg[at] = -up
+        self.cur = value
+        if not self.z_family:
+            self.ko1 += up * self.k_out[best]
+            self.ki1 += up * self.k_in[best]
+            self.ko0 -= up * self.k_out[best]
+            self.ki0 -= up * self.k_in[best]
+        # every incident entry of a flipped node, gathered from the CSR lists
+        lens = self.inc_counts[best]
+        cut = np.cumsum(lens)
+        pos = np.repeat(self.indptr[best] - cut + lens, lens) + np.arange(cut[-1])
+        nb = self.indices[pos] + np.repeat(self.rows_n, lens)
+        delta = np.repeat(up.astype(np.float64), lens)
+        delta *= sg[nb]
+        np.add.at(d1, nb, delta)
+        np.add.at(d2, nb, delta)
+
+    def stop(self, done, iters):
+        """Record the lanes marked in ``done`` after ``iters`` flips and
+        drop their rows."""
+        lane = self.lane[done]
+        self.out_lab[lane] = self.sg[done] < 0
+        self.out_val[lane] = self.cur[done]
+        self.out_iters[lane] = iters
+        keep = ~done
+        for name in self.fields:
+            setattr(self, name, getattr(self, name)[keep])
+        self.rows_n = np.arange(self.running) * self.g.n_nodes
+
+    def audit(self, c):
+        """Check every running lane's counts and value against a recount."""
+        for i in range(self.running):
+            lab = (self.sg[i] < 0).astype(np.int8)
+            obj = self.objs[self.lane[i] // self.restarts]
+            fr1, fr2 = within_counts(self.g, lab)
+            fresh = _fresh_value(self.g, lab, obj, c)
+            cur = float(self.cur[i])
+            if ((fr1, fr2) != (self.r1[i], self.r2[i])
+                    or abs(fresh - cur) > 1e-9 * (1 + abs(cur))):
+                raise RuntimeError("incremental bookkeeping drifted from "
+                                   "the from-scratch objective")
+
+
+def _lane_search(g, objs, cfg):
+    """Fit each objective in ``objs`` (all of the Z family, or one
+    modularity objective) with cfg.restarts lanes apiece, all advancing in
+    one loop; returns the FitResults in ``objs`` order."""
     n = g.n_nodes
     if n < 2 * cfg.min_group + 1:
         raise ValueError(
             f"need at least {2 * cfg.min_group + 1} nodes for any flip to be valid")
-    if obj not in _Z_FAMILY and g.n_edges == 0:
+    if objs[0] not in _Z_FAMILY and g.n_edges == 0:
         raise ValueError("modularity objectives need a non-empty graph")
 
     c = graph_constants(g)
-    tables = moment_arrays(c) if obj in _Z_FAMILY else None
+    tables = moment_arrays(c) if objs[0] in _Z_FAMILY else None
     max_iters = cfg.max_iters if cfg.max_iters is not None else n * n
 
     warm = None
@@ -169,112 +362,70 @@ def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitRes
         mw = int(warm.sum())
         if not cfg.min_group <= mw <= n - cfg.min_group:
             raise ValueError("warm_start violates the minimum group size")
+    starts = [warm if r == 0 and warm is not None else
+              _random_valid_labels(np.random.default_rng(cfg.seed + r), n,
+                                   cfg.min_group)
+              for r in range(cfg.restarts)]
 
-    if tables is not None and _all_degenerate(obj, tables, n, cfg.min_group):
-        lab0 = warm if warm is not None else _random_valid_labels(
-            np.random.default_rng(cfg.seed), n, cfg.min_group)
-        return FitResult(labels=Partition(lab0), value=0.0,
-                         restart_values=[0.0] * cfg.restarts, iterations=0,
-                         degenerate=True, objective=obj)
+    results = {}
+    for obj in objs:
+        if tables is not None and _all_degenerate(obj, tables, n, cfg.min_group):
+            results[obj] = FitResult(
+                labels=Partition(starts[0]), value=0.0,
+                restart_values=[0.0] * cfg.restarts, iterations=0,
+                restart_iterations=[0] * cfg.restarts, degenerate=True,
+                objective=obj)
+    live = [obj for obj in objs if obj not in results]
+    if not live:
+        return [results[obj] for obj in objs]
 
-    indptr, indices = g.incidence()
-    inc_counts = np.diff(indptr)
-    ends = np.repeat(np.arange(n), inc_counts)
-    k_out = g.k_out.astype(np.float64)
-    k_in = g.k_in.astype(np.float64)
-    total = float(g.n_edges)
-    directed = g.directed
-
-    best_val = -np.inf
-    best_lab = None
-    restart_values = []
-    total_flips = 0
-
-    for r in range(cfg.restarts):
-        if r == 0 and warm is not None:
-            lab = warm.copy()
-        else:
-            rng = np.random.default_rng(cfg.seed + r)
-            lab = _random_valid_labels(rng, n, cfg.min_group)
-
-        m1 = int(lab.sum())
-        r1, r2 = within_counts(g, lab)
-        in1 = (lab[indices] == 1).astype(np.float64)
-        w1 = np.bincount(ends, weights=in1, minlength=n).astype(np.int64)
-        w0 = inc_counts - w1
-        if obj in _Z_FAMILY:
-            cur = float(_z_values(obj, r1, r2, m1, n, tables))
-        else:
-            sel = lab == 1
-            ko1 = float(k_out[sel].sum())
-            ki1 = float(k_in[sel].sum())
-            ko0 = float(k_out.sum() - ko1)
-            ki0 = float(k_in.sum() - ki1)
-            cur = float(_q_values(obj, r1, r2, ko1, ki1, ko0, ki0,
-                                  total, directed))
-
-        iters = 0
-        while iters < max_iters:
-            is1 = lab == 1
-            dr1 = np.where(is1, -w1, w1)
-            dr2 = np.where(is1, w0, -w0)
-            m_new = m1 + np.where(is1, -1, 1)
-            r1n = r1 + dr1
-            r2n = r2 + dr2
-            valid = (m_new >= cfg.min_group) & (m_new <= n - cfg.min_group)
-            if obj in _Z_FAMILY:
-                vals = _z_values(obj, r1n, r2n, m_new, n, tables)
-            else:
-                ko1n = ko1 + np.where(is1, -k_out, k_out)
-                ki1n = ki1 + np.where(is1, -k_in, k_in)
-                vals = _q_values(obj, r1n, r2n, ko1n, ki1n,
-                                 ko0 + ko1 - ko1n, ki0 + ki1 - ki1n,
-                                 total, directed)
-            vals = np.where(valid, vals, -np.inf)
-            vals = np.where(np.isnan(vals), -np.inf, vals)
-            b = int(np.argmax(vals))
-            bv = float(vals[b])
-            if not np.isfinite(bv) or bv <= cur + _IMPROVE_EPS:
+    lanes = _Lanes(g, live, starts, tables, cfg.min_group)
+    iters = 0
+    while lanes.running and iters < max_iters:
+        vals = lanes.price()
+        best = vals.argmax(axis=1)  # ties go to the lowest node index
+        value = vals.take(lanes.rows_n + best)
+        done = ~(np.isfinite(value) & (value > lanes.cur + _IMPROVE_EPS))
+        if done.any():
+            lanes.stop(done, iters)
+            if not lanes.running:
                 break
+            best, value = best[~done], value[~done]
+        lanes.flip(best, value)
+        iters += 1
+        if iters % _CHECK_EVERY == 0:
+            lanes.audit(c)
+    if lanes.running:  # the lanes that reached max_iters
+        lanes.stop(np.ones(lanes.running, dtype=bool), iters)
 
-            to_zero = lab[b] == 1
-            r1 += int(dr1[b])
-            r2 += int(dr2[b])
-            m1 = int(m_new[b])
-            if obj not in _Z_FAMILY:
-                sgn = -1.0 if to_zero else 1.0
-                ko1 += sgn * k_out[b]
-                ki1 += sgn * k_in[b]
-                ko0 -= sgn * k_out[b]
-                ki0 -= sgn * k_in[b]
-            nb = indices[indptr[b]:indptr[b + 1]]
-            if to_zero:
-                np.add.at(w1, nb, -1)
-                np.add.at(w0, nb, 1)
-                lab[b] = 0
-            else:
-                np.add.at(w1, nb, 1)
-                np.add.at(w0, nb, -1)
-                lab[b] = 1
-            cur = bv
-            iters += 1
-            total_flips += 1
+    r_count = cfg.restarts
+    for k, obj in enumerate(live):
+        vals = lanes.out_val[k * r_count:(k + 1) * r_count]
+        its = lanes.out_iters[k * r_count:(k + 1) * r_count]
+        best = int(np.argmax(vals))  # the first restart reaching the max
+        results[obj] = FitResult(
+            labels=Partition(lanes.out_lab[k * r_count + best]),
+            value=float(vals[best]),
+            restart_values=[float(v) for v in vals],
+            iterations=int(its.sum()),
+            restart_iterations=[int(i) for i in its],
+            degenerate=False, objective=obj)
+    return [results[obj] for obj in objs]
 
-            if total_flips % _CHECK_EVERY == 0:
-                fr1, fr2 = within_counts(g, lab)
-                fresh = _fresh_value(g, lab, obj, c)
-                if (fr1, fr2) != (r1, r2) or abs(fresh - cur) > 1e-9 * (1 + abs(cur)):
-                    raise RuntimeError("incremental bookkeeping drifted from "
-                                       "the from-scratch objective")
 
-        restart_values.append(cur)
-        if cur > best_val:
-            best_val = cur
-            best_lab = lab.copy()
+def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitResult:
+    """Best-improvement single-flip local search with random restarts.
 
-    return FitResult(labels=Partition(best_lab), value=float(best_val),
-                     restart_values=restart_values, iterations=total_flips,
-                     degenerate=False, objective=obj)
+    Each step prices all N candidate flips at once (O(N + |E|) per step via
+    incident-edge bookkeeping), applies the best strictly-improving one (ties
+    to the lowest node index), and stops at a local optimum.  The restarts
+    run as lanes of one search that advance together, one flip each per
+    step; for a given seed the result equals that of running the restarts
+    one after another.  The best terminal partition across restarts is
+    returned (the first restart reaching it).
+    """
+    cfg = cfg if cfg is not None else FitConfig()
+    return _lane_search(g, [obj], cfg)[0]
 
 
 def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
@@ -331,6 +482,12 @@ CANDIDATE_KINDS = ("zw-max", "zw-min", "zd")
 
 
 def fit_all_candidates(g: Graph, cfg: FitConfig | None = None) -> dict[str, FitResult]:
-    """Fit the three mixing-type candidates (Z_w-max, Z_w-min, Z_d)."""
-    return {kind: greedy_fit(g, Objective(kind), cfg)
-            for kind in CANDIDATE_KINDS}
+    """Fit the three mixing-type candidates (Z_w-max, Z_w-min, Z_d).
+
+    All restarts of all three run as the 3 x restarts lanes of one search,
+    on one set of graph constants and moment tables; each result equals
+    ``greedy_fit`` of that candidate with the same config.
+    """
+    cfg = cfg if cfg is not None else FitConfig()
+    fits = _lane_search(g, [Objective(kind) for kind in CANDIDATE_KINDS], cfg)
+    return dict(zip(CANDIDATE_KINDS, fits))

@@ -1,0 +1,86 @@
+"""The lane kernel against the restart-by-restart reference search, bit for
+bit, on random graphs and configs."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bicomm.graph import Graph
+from bicomm.optimizer import (_Z_FAMILY, CANDIDATE_KINDS, FitConfig, Objective,
+                              fit_all_candidates, greedy_fit)
+from reference_search import reference_greedy_fit
+
+
+def star(n):
+    return Graph(n, [(0, i) for i in range(1, n)], directed=False)
+
+
+def cycle(n, directed):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)], directed=directed)
+
+
+@st.composite
+def fit_cases(draw):
+    """A graph on 5-40 nodes and a search config.  Stars make every Z_w
+    candidate degenerate and cycles every Z_d candidate."""
+    n = draw(st.integers(5, 40))
+    directed = draw(st.booleans())
+    shape = draw(st.sampled_from(["random", "random", "star", "cycle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "star":
+        g = star(n)
+    elif shape == "cycle":
+        g = cycle(n, directed)
+    else:
+        density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+        a = rng.random((n, n)) < density
+        if not directed:
+            a = np.triu(a, 1)
+        np.fill_diagonal(a, False)
+        g = Graph(n, np.argwhere(a), directed=directed)
+    min_group = draw(st.sampled_from([2, 3]) if n >= 7 else st.just(2))
+    warm = None
+    if draw(st.booleans()):
+        while warm is None or not min_group <= warm.sum() <= n - min_group:
+            warm = (rng.random(n) < 0.5).astype(np.int8)
+    cfg = FitConfig(restarts=draw(st.integers(1, 6)),
+                    seed=draw(st.integers(0, 1000)), min_group=min_group,
+                    warm_start=warm,
+                    max_iters=draw(st.sampled_from([0, 1, 3, None])))
+    return g, cfg
+
+
+def assert_same_fit(got, want):
+    assert got.labels == want.labels
+    assert float(got.value).hex() == float(want.value).hex()
+    assert ([float(v).hex() for v in got.restart_values]
+            == [float(v).hex() for v in want.restart_values])
+    assert got.iterations == want.iterations
+    assert got.restart_iterations == want.restart_iterations
+    assert got.degenerate == want.degenerate
+    assert got.objective is want.objective
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fit_cases(), obj=st.sampled_from(list(Objective)))
+@example(case=(star(9), FitConfig(restarts=3, seed=5)), obj=Objective.ZW_MIN)
+def test_greedy_fit_matches_reference(case, obj):
+    g, cfg = case
+    if obj not in _Z_FAMILY and g.n_edges == 0:
+        for fit in (greedy_fit, reference_greedy_fit):
+            with pytest.raises(ValueError):
+                fit(g, obj, cfg)
+        return
+    assert_same_fit(greedy_fit(g, obj, cfg), reference_greedy_fit(g, obj, cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=fit_cases())
+@example(case=(star(12), FitConfig(restarts=4, seed=1)))
+@example(case=(cycle(11, True), FitConfig(restarts=4, seed=1, max_iters=3)))
+def test_fit_all_candidates_matches_reference(case):
+    g, cfg = case
+    fits = fit_all_candidates(g, cfg)
+    for kind in CANDIDATE_KINDS:
+        assert_same_fit(fits[kind], reference_greedy_fit(g, Objective(kind), cfg))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bicomm import optimizer
 from bicomm.edgestats import Partition, modularity_q, z_d, z_w
 from bicomm.genmodels import ConnectivityMatrix, sample_sbm
 from bicomm.graph import Graph
@@ -156,3 +157,51 @@ def test_config_validation():
         FitConfig(min_group=1)
     with pytest.raises(ValueError):
         FitConfig(seed=-1)
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        FitConfig(max_iters=-1)
+
+
+def test_restart_iterations_per_restart():
+    rng = np.random.default_rng(4)
+    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 10, 10, True, rng)
+    fit = greedy_fit(pg.graph, Objective.ZW_MAX, FitConfig(restarts=6, seed=2))
+    assert len(fit.restart_iterations) == 6
+    assert sum(fit.restart_iterations) == fit.iterations > 0
+    capped = greedy_fit(pg.graph, Objective.ZW_MAX,
+                        FitConfig(restarts=6, seed=2, max_iters=2))
+    assert capped.restart_iterations == [min(2, i) for i in fit.restart_iterations]
+    empty = greedy_fit(Graph(6, [], directed=False), Objective.ZD_MAX,
+                       FitConfig(restarts=3))
+    assert empty.restart_iterations == [0, 0, 0]
+
+
+def test_drift_audit_checks_every_lane(monkeypatch):
+    rng = np.random.default_rng(11)
+    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, True, rng)
+    honest = optimizer.within_counts
+    audited = []
+
+    def counting(g, x):
+        audited.append(1)
+        return honest(g, x)
+
+    monkeypatch.setattr(optimizer, "_CHECK_EVERY", 1)
+    monkeypatch.setattr(optimizer, "within_counts", counting)
+    fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
+    # one recount per lane per flip
+    assert len(audited) == sum(f.iterations for f in fits.values()) > 0
+
+
+def test_drift_audit_catches_miscount(monkeypatch):
+    rng = np.random.default_rng(11)
+    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, True, rng)
+    honest = optimizer.within_counts
+
+    def off_by_one(g, x):
+        r1, r2 = honest(g, x)
+        return r1 + 1, r2
+
+    monkeypatch.setattr(optimizer, "_CHECK_EVERY", 1)
+    monkeypatch.setattr(optimizer, "within_counts", off_by_one)
+    with pytest.raises(RuntimeError, match="drifted"):
+        fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
