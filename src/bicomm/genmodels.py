@@ -10,6 +10,10 @@ import numpy as np
 from .edgestats import Partition
 from .graph import Graph
 
+# Largest m + n the samplers accept: they draw N x N float arrays, 800 MB
+# each at this size.
+_MAX_NODES = 10_000
+
 
 @dataclass(frozen=True)
 class ConnectivityMatrix:
@@ -127,6 +131,15 @@ def sample_theta(spec: ThetaSpec, count: int, rng: np.random.Generator):
     return rng.exponential(1.0 / rate, size=count) + 1.0 - 1.0 / rate
 
 
+def _check_size(m, n):
+    total = int(m) + int(n)
+    if total > _MAX_NODES:
+        mb = 8 * total * total / 1e6
+        raise ValueError(
+            f"m + n = {total} exceeds the samplers' limit of {_MAX_NODES} "
+            f"nodes (each N x N array would take {mb:,.0f} MB)")
+
+
 def _planted_probs(p: ConnectivityMatrix, m, n, thetas):
     blocks = np.concatenate([np.zeros(m, dtype=np.intp),
                              np.ones(n, dtype=np.intp)])
@@ -167,7 +180,9 @@ def _sample_planted(p, m, n, thetas, directed, rng):
 def sample_sbm(p: ConnectivityMatrix, m: int, n: int, directed: bool,
                rng: np.random.Generator) -> PlantedGraph:
     """Stochastic block model draw: each node pair gets an edge independently
-    with the block probability; community 1 nodes come first."""
+    with the block probability; community 1 nodes come first.  Raises
+    ValueError when m + n exceeds 10,000, before any allocation."""
+    _check_size(m, n)
     return _sample_planted(p, m, n, np.ones(int(m) + int(n)), directed, rng)
 
 
@@ -175,7 +190,9 @@ def sample_dcsbm(p: ConnectivityMatrix, m: int, n: int, spec: ThetaSpec,
                  directed: bool, rng: np.random.Generator) -> PlantedGraph:
     """Degree-corrected draw: pair (i, j) gets an edge with probability
     min(1, theta_i theta_j P_ab).  Thetas are drawn first (node order), so
-    the graph and multipliers share one stream deterministically."""
+    the graph and multipliers share one stream deterministically.  Raises
+    ValueError when m + n exceeds 10,000, before any draw."""
+    _check_size(m, n)
     thetas = sample_theta(spec, int(m) + int(n), rng)
     return _sample_planted(p, m, n, thetas, directed, rng)
 

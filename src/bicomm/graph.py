@@ -38,7 +38,7 @@ class Graph:
 
     __slots__ = ("n_nodes", "directed", "edges", "node_names",
                  "duplicate_edges", "k_out", "k_in",
-                 "_inc_indptr", "_inc_indices", "_adj")
+                 "_inc_indptr", "_inc_indices")
 
     def __init__(self, n_nodes, edges, directed, node_names=None,
                  duplicate_edges=0):
@@ -83,7 +83,6 @@ class Graph:
         self.k_in.setflags(write=False)
         self._inc_indptr = None
         self._inc_indices = None
-        self._adj = None
 
     # -- basic facts ------------------------------------------------------
 
@@ -127,18 +126,6 @@ class Graph:
         indptr, indices = self.incidence()
         return indices[indptr[i]:indptr[i + 1]]
 
-    def adjacency(self):
-        """Dense boolean adjacency matrix (symmetric when undirected)."""
-        if self._adj is None:
-            a = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-            e = self.edges
-            a[e[:, 0], e[:, 1]] = True
-            if not self.directed:
-                a[e[:, 1], e[:, 0]] = True
-            a.setflags(write=False)
-            self._adj = a
-        return self._adj
-
 
 @dataclass(frozen=True)
 class GraphConstants:
@@ -172,8 +159,11 @@ def graph_constants(g: Graph) -> GraphConstants:
     """
     m = int(g.n_edges)
     if g.directed:
-        a = g.adjacency()
-        q1 = int(np.count_nonzero(a & a.T))
+        # a reciprocal pair is the one unordered key that two arcs share
+        u = g.edges[:, 0]
+        v = g.edges[:, 1]
+        keys = np.sort(np.minimum(u, v) * g.n_nodes + np.maximum(u, v))
+        q1 = 2 * int(np.count_nonzero(keys[1:] == keys[:-1]))
         ko = g.k_out.astype(np.int64)
         ki = g.k_in.astype(np.int64)
         q2 = (m * m - m + q1

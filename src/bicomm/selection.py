@@ -13,6 +13,9 @@ from .graph import Graph
 from .optimizer import CANDIDATE_KINDS, FitResult
 
 _CLAMP_EPS = 1e-9
+# Most terms summed by one np.sum call in the likelihood; at least 128, the
+# length up to which numpy sums a float64 vector without splitting it.
+_LEAF = 1 << 16
 DEFAULT_LAMBDA = 0.12
 
 
@@ -182,26 +185,66 @@ def theta_mle(g: Graph, x) -> ThetaEstimates:
                           var_block2=variances[1])
 
 
+def _pair_layout(g):
+    """Flat pair index of the likelihood sum: row-major over ordered pairs
+    i != j (directed) or pairs i < j (undirected).  Returns the first index
+    of each row (N + 1 offsets) and the index of every edge, ascending
+    because ``Graph.edges`` is lexsorted."""
+    n = g.n_nodes
+    u = g.edges[:, 0]
+    v = g.edges[:, 1]
+    rows = np.arange(n + 1, dtype=np.int64)
+    if g.directed:
+        return rows * (n - 1), u * (n - 1) + v - (v > u)
+    off = rows * (n - 1) - rows * (rows - 1) // 2
+    return off, off[u] + v - u - 1
+
+
 def _penalized_details(g, x, lam, kind):
     lab = as_labels(x, g.n_nodes)
     est = estimate_block_probs(g, lab)
     th = theta_mle(g, lab)
+    theta = th.theta_hat
     blocks = np.where(lab == 1, 0, 1)
-    base = est.p_hat.as_array()[blocks[:, None], blocks[None, :]]
-    probs = base * th.theta_hat[:, None] * th.theta_hat[None, :]
-
+    prow = est.p_hat.as_array()[:, blocks]
     n = g.n_nodes
-    if g.directed:
-        mask = ~np.eye(n, dtype=bool)
-    else:
-        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    pvals = probs[mask]
-    clamps = int(np.count_nonzero((pvals < _CLAMP_EPS)
-                                  | (pvals > 1.0 - _CLAMP_EPS)))
-    pvals = np.clip(pvals, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-    avals = g.adjacency()[mask]
+    off, keys = _pair_layout(g)
+    clamps = 0
 
-    loglik = float(np.where(avals, np.log(pvals), np.log1p(-pvals)).sum())
+    def leaf_sum(start, stop):
+        # terms of flat pairs [start, stop), built from the rows they span;
+        # each product keeps the order (P_ab * theta_i) * theta_j
+        nonlocal clamps
+        r0, r1 = np.searchsorted(off, (start, stop - 1), side="right") - 1
+        rows = np.arange(r0, r1 + 1)
+        c0 = 0 if g.directed else r0 + 1
+        cols = np.arange(c0, n)
+        probs = (prow[:, c0:][blocks[rows]] * theta[rows, None]
+                 * theta[None, c0:])
+        if g.directed:
+            keep = cols[None, :] != rows[:, None]
+        else:
+            keep = cols[None, :] > rows[:, None]
+        pvals = probs[keep][start - off[r0]:stop - off[r0]]
+        clamps += int(np.count_nonzero((pvals < _CLAMP_EPS)
+                                       | (pvals > 1.0 - _CLAMP_EPS)))
+        pvals = np.clip(pvals, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
+        terms = np.log1p(-pvals)
+        lo, hi = np.searchsorted(keys, (start, stop))
+        hit = keys[lo:hi] - start
+        terms[hit] = np.log(pvals[hit])
+        return float(np.sum(terms))
+
+    def pairwise(start, count):
+        # split where np.sum splits a contiguous float64 vector of length
+        # count, so the total equals one np.sum over all terms bit for bit
+        if count <= _LEAF:
+            return leaf_sum(start, start + count)
+        half = count // 2
+        half -= half % 8
+        return pairwise(start, half) + pairwise(start + half, count - half)
+
+    loglik = pairwise(0, int(off[-1]))
 
     r1, r2 = within_counts(g, lab)
     if kind == "zd":
@@ -223,6 +266,11 @@ def penalized_loglik(g: Graph, x, lam: float = DEFAULT_LAMBDA,
     candidate instead pays lam * max over blocks of (block theta variance *
     that block's own within edges), so heterogeneity outside a dense core is
     not over-charged.
+
+    The pair terms are summed exactly as one ``np.sum`` over all pairs in
+    row-major order would sum them (numpy's pairwise order), but built and
+    summed in blocks of at most 65,536 terms, so memory is O(N + |E|) plus
+    one block and no N x N array is formed.  Time is still O(N^2).
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")

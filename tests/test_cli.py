@@ -233,6 +233,11 @@ def test_simulate_parameter_validation(capsys):
     assert main(dc + ["--theta", "pareto"]) == 2
     assert main(dc + ["--theta", "pareto:3", "--reps", "1"]) == 0
     capsys.readouterr()
+    # past the samplers' size limit, refused before anything is allocated
+    for argv in (SIM_ARGS, dc + ["--theta", "pareto:3"]):
+        huge = [arg if arg != "6" else "1000000000000" for arg in argv]
+        assert main(huge) == 2
+        assert "limit of 10000 nodes" in capsys.readouterr().err
 
 
 def test_usage_and_format_exit_codes(tmp_path, capsys):

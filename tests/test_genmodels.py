@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, _sample_planted,
-                              replicate_rngs, sample_dcsbm, sample_sbm,
-                              sample_theta)
+from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, _check_size,
+                              _sample_planted, replicate_rngs, sample_dcsbm,
+                              sample_sbm, sample_theta)
 
 
 def test_connectivity_validation():
@@ -117,6 +117,22 @@ def test_dcsbm_degrees_track_theta():
         degs += pg.graph.degrees
     corr = np.corrcoef(thetas, degs)[0, 1]
     assert corr > 0.98
+
+
+def test_samplers_refuse_sizes_past_the_limit():
+    _check_size(5000, 5000)
+    with pytest.raises(ValueError, match="10000"):
+        _check_size(5000, 5001)
+    # sizes far past what memory could hold: any allocation before the
+    # check would fail with MemoryError instead
+    p = ConnectivityMatrix(0.1, 0.1, 0.1, 0.1)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="limit"):
+        sample_sbm(p, 10**12, 2, True, rng)
+    with pytest.raises(ValueError, match="limit"):
+        sample_dcsbm(p, 2, 10**12, ThetaSpec.pareto(3), False, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_replicate_rngs_split():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.graph import (Graph, GraphFormatError, graph_constants,
                           load_edge_list)
@@ -61,6 +63,20 @@ def test_constants_directed_q1():
     assert c.g_size == 3
     assert c.q1 == 2
     assert c.q1 % 2 == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+       mirrored=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_q1_counts_reciprocal_pairs(n, density, mirrored, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) < density
+    # mirror a share of the arcs so that reciprocal pairs are common
+    a |= a.T & (rng.random((n, n)) < mirrored)
+    np.fill_diagonal(a, False)
+    g = Graph(n, np.argwhere(a), directed=True)
+    assert graph_constants(g).q1 == int(np.count_nonzero(a & a.T))
 
 
 def brute_disjoint_pairs(g):
