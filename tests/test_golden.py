@@ -1,0 +1,274 @@
+"""Golden corpus: the closed forms, block counts, exhaustive fits, the
+``bicomm moments`` JSON and the demos' output, pinned bit for bit.
+
+Floats are pinned as ``float.hex``, ints and flags as text.  A pin is the
+token list itself, or its sha256 and length when the list is longer than
+``INLINE`` tokens.  The pins in ``golden/corpus.json`` and the demo outputs
+in ``golden/demos/`` were generated once from the code before the
+one-formula-per-place refactor of ``edgestats``, ``optimizer``,
+``selection``, ``oracle`` and ``cli``; any later change to these outputs is a
+change of behaviour, not of form.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bicomm.cli import main
+from bicomm.edgestats import (modularity_q, moment_arrays, perm_null_moments,
+                              q_d, within_counts)
+from bicomm.genmodels import ConnectivityMatrix
+from bicomm.graph import Graph, graph_constants
+from bicomm.optimizer import Objective, exhaustive_fit
+from bicomm.oracle import expected_counts_sbm, verify_theorem_2_3
+from bicomm.selection import estimate_block_probs
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INLINE = 64
+
+
+def tok(v):
+    if v is None:
+        return "None"
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return float(v).hex()
+
+
+def pin(tokens):
+    if len(tokens) <= INLINE:
+        return list(tokens)
+    h = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+    return {"sha256": h, "count": len(tokens)}
+
+
+def random_graph(n, directed, density, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) < density
+    np.fill_diagonal(a, False)
+    if not directed:
+        a = np.triu(a)
+    return Graph(n, np.argwhere(a), directed)
+
+
+def special_graphs():
+    """K4, stars and cycles (degenerate null variances) and an empty graph."""
+    k4 = [(i, j) for i in range(4) for j in range(4) if i < j]
+    star = [(0, j) for j in range(1, 8)]
+    cycle = [(i, (i + 1) % 7) for i in range(7)]
+    return {
+        "k4-u": Graph(4, k4, False),
+        "k4-d": Graph(4, k4 + [(j, i) for i, j in k4], True),
+        "star8-u": Graph(8, star, False),
+        "star8-d": Graph(8, star, True),
+        "cycle7-u": Graph(7, cycle, False),
+        "cycle7-d": Graph(7, cycle, True),
+        "empty6-u": Graph(6, [], False),
+    }
+
+
+def moment_graphs():
+    graphs = special_graphs()
+    for i, n in enumerate((5, 6, 8, 13, 21, 40, 77, 150, 300)):
+        for directed in (False, True):
+            density = min(0.6, 6.0 / n) if n > 20 else 0.4
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, density, seed=100 + 2 * i + directed)
+    return graphs
+
+
+def build_moments():
+    out = {}
+    for name, g in moment_graphs().items():
+        c = graph_constants(g)
+        n = g.n_nodes
+        scalar = []
+        for m in range(2, n - 1):
+            mom = perm_null_moments(c, m, n - m)
+            scalar += [tok(mom.mu_w), tok(mom.sigma_w), tok(mom.mu_d),
+                       tok(mom.sigma_d), tok(mom.var_w), tok(mom.var_d),
+                       tok(mom.degenerate_w), tok(mom.degenerate_d)]
+        out[f"perm_null_moments/{name}"] = scalar
+        out[f"moment_arrays/{name}"] = [tok(v) for arr in moment_arrays(c)
+                                        for v in arr.tolist()]
+    return out
+
+
+MATRICES = {
+    "assortative": (0.5, 0.3, 0.3, 0.5),
+    "disassortative": (0.3, 0.5, 0.5, 0.3),
+    "core-periphery": (0.6, 0.3, 0.3, 0.1),
+    "flat": (0.2, 0.2, 0.2, 0.2),
+    "sparse": (0.05, 0.01, 0.01, 0.03),
+    "asymmetric": (0.4, 0.1, 0.3, 0.2),
+    "zero-w": (0.7, 0.4, 0.5, 0.2),
+}
+SIZES = ((2, 2), (3, 5), (8, 4), (12, 12), (30, 17))
+
+
+def build_oracle():
+    out = {}
+    for mname, vals in MATRICES.items():
+        p = ConnectivityMatrix(*vals)
+        for m, n in SIZES:
+            for directed in (False, True):
+                if not directed and not p.symmetric:
+                    continue
+                key = f"expected_counts_sbm/{mname}/{m}x{n}/{'d' if directed else 'u'}"
+                out[key] = [tok(v) for d1 in range(m + 1) for d2 in range(n + 1)
+                            for v in expected_counts_sbm(p, m, n, d1, d2, directed)]
+            rep = verify_theorem_2_3(p, m, n)
+            out[f"verify_theorem_2_3/{mname}/{m}x{n}"] = [
+                tok(rep.d_condition), tok(rep.w_condition),
+                tok(rep.d_raw_at_truth), tok(rep.d_ratio_at_truth),
+                tok(rep.w_raw_at_truth), tok(rep.w_ratio_at_truth),
+                str(rep.d_ratio_argext), str(rep.w_ratio_argext), tok(rep.ok)]
+    return out
+
+
+def count_cases():
+    """(name, graph, labels) triples: seeded graphs, seeded labelings with
+    groups of size 2 and up, and the special graphs."""
+    graphs = dict(special_graphs())
+    for i, n in enumerate((6, 11, 25, 60)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.3, seed=300 + 2 * i + directed)
+    for name, g in graphs.items():
+        n = g.n_nodes
+        rng = np.random.default_rng(n)
+        labelings = [np.r_[np.ones(2), np.zeros(n - 2)],
+                     np.r_[np.zeros(n - 2), np.ones(2)]]
+        for _ in range(4):
+            lab = (rng.random(n) < 0.5).astype(np.int8)
+            lab[:2], lab[-2:] = 1, 0
+            labelings.append(lab)
+        for k, lab in enumerate(labelings):
+            yield f"{name}/{k}", g, np.asarray(lab, dtype=np.int8)
+
+
+def build_counts():
+    out = {}
+    for name, g, lab in count_cases():
+        out[f"within_counts/{name}"] = [tok(v) for v in within_counts(g, lab)]
+        est = estimate_block_probs(g, lab)
+        p = est.p_hat
+        out[f"estimate_block_probs/{name}"] = [
+            tok(v) for v in (p.p11, p.p12, p.p21, p.p22, *est.pi_hat, *est.sizes)]
+        if g.n_edges:
+            out[f"modularity_q/{name}"] = [tok(modularity_q(g, lab))]
+            out[f"q_d/{name}"] = [tok(q_d(g, lab))]
+    return out
+
+
+def build_exhaustive():
+    graphs = {k: v for k, v in special_graphs().items() if k != "k4-d"}
+    for i, n in enumerate((5, 7, 9, 12)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.35, seed=500 + 2 * i + directed)
+    out = {}
+    for name, g in graphs.items():
+        for obj in Objective:
+            if obj.value in ("modularity", "qd") and g.n_edges == 0:
+                continue
+            for min_group in (2, 3):
+                if g.n_nodes < 2 * min_group:
+                    continue
+                f = exhaustive_fit(g, obj, min_group=min_group)
+                out[f"exhaustive_fit/{name}/{obj.value}/{min_group}"] = [
+                    f.labels.labels.tobytes().hex(), tok(f.value),
+                    *[tok(v) for v in f.restart_values], tok(f.iterations),
+                    tok(f.degenerate), f.objective.value]
+    return out
+
+
+def build_cli_moments(workdir):
+    out = {}
+    graphs = dict(special_graphs())
+    for i, n in enumerate((6, 14, 33)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.3, seed=700 + 2 * i + directed)
+    for name, g in graphs.items():
+        if g.n_edges == 0:
+            continue
+        edges = Path(workdir) / f"{name}.edges"
+        # node tokens in shuffled order, so the loader's renaming is pinned too
+        perm = np.random.default_rng(g.n_nodes).permutation(g.n_nodes)
+        tokens = [f"v{t}" for t in perm]
+        lines = [f"{tokens[u]} {tokens[v]}" for u, v in g.edges.tolist()]
+        edges.write_text("\n".join(lines) + "\n")
+        loaded_n = len({t for ln in lines for t in ln.split()})
+        lab = np.arange(loaded_n) % 2
+        labels = Path(workdir) / f"{name}.labels"
+        labels.write_text("\n".join(str(v) for v in lab) + "\n")
+        report = Path(workdir) / f"{name}.json"
+        argv = ["moments", "--edges", str(edges), "--labels", str(labels),
+                "--directed" if g.directed else "--undirected",
+                "--out", str(report)]
+        code = main(argv)
+        text = report.read_text(encoding="utf-8") if code == 0 else ""
+        out[f"cli_moments/{name}"] = [str(code)] + text.splitlines()
+    return out
+
+
+DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
+
+
+def demo_stdout(stem):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{stem}.py")],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          check=True)
+    return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+
+
+def check(pinned, section, computed):
+    want = {k: v for k, v in pinned.items() if k.split("/")[0] in section}
+    assert sorted(computed) == sorted(want)
+    changed = [k for k in computed if pin(computed[k]) != want[k]]
+    assert not changed, f"{len(changed)} pinned outputs changed: {changed[:8]}"
+
+
+def test_golden_moments(pinned):
+    check(pinned, ("perm_null_moments", "moment_arrays"), build_moments())
+
+
+def test_golden_oracle(pinned):
+    check(pinned, ("expected_counts_sbm", "verify_theorem_2_3"), build_oracle())
+
+
+def test_golden_counts(pinned):
+    check(pinned, ("within_counts", "estimate_block_probs", "modularity_q",
+                   "q_d"), build_counts())
+
+
+def test_golden_exhaustive(pinned):
+    check(pinned, ("exhaustive_fit",), build_exhaustive())
+
+
+def test_golden_cli_moments(pinned, tmp_path):
+    check(pinned, ("cli_moments",), build_cli_moments(tmp_path))
+
+
+@pytest.mark.parametrize("stem", DEMOS)
+def test_golden_demo_stdout(stem):
+    want = (GOLDEN / "demos" / f"{stem}.txt").read_text(encoding="utf-8")
+    assert demo_stdout(stem) == want
