@@ -217,22 +217,21 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _simulate_one(params):
-    (rep, model, p11, p12, p21, p22, m, n, theta_text, directed,
-     seed, criterion, lam, restarts) = params
-    p = ConnectivityMatrix(p11, p12, p21, p22)
-    rng, fit_seed = replicate_rngs(seed, rep)
-    if model == "dcsbm":
-        pg = sample_dcsbm(p, m, n, ThetaSpec.parse(theta_text), directed, rng)
+def _simulate_one(args, rep):
+    p = ConnectivityMatrix(args.p11, args.p12, args.p21, args.p22)
+    rng, fit_seed = replicate_rngs(args.seed, rep)
+    if args.model == "dcsbm":
+        pg = sample_dcsbm(p, args.m, args.n, ThetaSpec.parse(args.theta),
+                          args.directed, rng)
     else:
-        pg = sample_sbm(p, m, n, directed, rng)
-    cfg = FitConfig(restarts=restarts, seed=fit_seed)
+        pg = sample_sbm(p, args.m, args.n, args.directed, rng)
+    cfg = FitConfig(restarts=args.restarts, seed=fit_seed)
     candidates = fit_all_candidates(pg.graph, cfg)
     eps = {kind: misclassification_rate(pg.truth, fit.labels)
            for kind, fit in candidates.items()}
     try:
-        if criterion == "penalized":
-            outcome = penalized_select(pg.graph, candidates, lam=lam)
+        if args.criterion == "penalized":
+            outcome = penalized_select(pg.graph, candidates, lam=args.lam)
         else:
             outcome = gamma_tau_select(pg.graph, candidates)
         selected = outcome.selected
@@ -272,15 +271,12 @@ def cmd_simulate(args):
     if args.seed < 0:
         raise ValueError("seed must be non-negative")
 
-    params = [(rep, args.model, args.p11, args.p12, args.p21, args.p22,
-               args.m, args.n, args.theta, args.directed, args.seed,
-               args.criterion, args.lam, args.restarts)
-              for rep in range(args.reps)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_simulate_one, params))
+            rows = list(pool.map(_simulate_one, [args] * args.reps,
+                                 range(args.reps)))
     else:
-        rows = [_simulate_one(t) for t in params]
+        rows = [_simulate_one(args, rep) for rep in range(args.reps)]
     rows.sort(key=lambda row: row["rep"])
 
     buf = io.StringIO()
@@ -385,10 +381,9 @@ def main(argv=None):
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
+        # before the ValueError clause: GraphFormatError and UnicodeDecodeError
+        # are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except DegenerateError as exc:

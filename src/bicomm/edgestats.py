@@ -80,17 +80,30 @@ class MomentSet:
     degenerate_d: bool
 
 
-def within_counts(g: Graph, x):
-    """(R1, R2): edges with both endpoints labeled 1, resp. both labeled 0.
+def block_counts(g: Graph, x):
+    """(R1, E12, E21, R2): stored edges from group 1 to group 1, 1 to 0,
+    0 to 1 and 0 to 0, by the stored orientation (i < j when undirected).
 
-    Directed edges are counted once each, in either orientation.
+    With a, b the labels of the edges' first and second ends: R1 = #(a & b),
+    E12 = #a - R1, E21 = #b - R1 and R2 = |E| - #(a | b).
     """
     lab = as_labels(x, g.n_nodes)
     e = g.edges
     a = lab[e[:, 0]]
     b = lab[e[:, 1]]
     r1 = int(np.count_nonzero(a & b))
-    r2 = int(np.count_nonzero((1 - a) & (1 - b)))
+    e12 = int(np.count_nonzero(a)) - r1
+    e21 = int(np.count_nonzero(b)) - r1
+    r2 = g.n_edges - int(np.count_nonzero(a | b))
+    return r1, e12, e21, r2
+
+
+def within_counts(g: Graph, x):
+    """(R1, R2): edges with both endpoints labeled 1, resp. both labeled 0.
+
+    Directed edges are counted once each, in either orientation.
+    """
+    r1, _, _, r2 = block_counts(g, x)
     return r1, r2
 
 
@@ -113,6 +126,23 @@ def r_w(g: Graph, x):
     return ((n_x - 1) * r1 + (m_x - 1) * r2) / (n - 2)
 
 
+def _moments(c: GraphConstants, m, n_x):
+    """(mu_w, var_w, mu_d, var_d) for group sizes m and n_x = N - m, as ints
+    or as float arrays; no threshold applied."""
+    n = c.n_nodes
+    gsz = float(c.g_size)
+    q1 = float(c.q1)
+    q2 = float(c.q2)
+    mu_w = (m - 1) * (n_x - 1) * gsz / ((n - 1) * (n - 2))
+    var_w = (m * n_x * (m - 1) * (n_x - 1)
+             / (n * (n - 1) * (n - 2) ** 2)
+             * (gsz + q1 - gsz * gsz / (n - 1) + q2 / (n - 3)))
+    mu_d = (m - n_x) * gsz / n
+    var_d = (m * n_x / (n * (n - 1))
+             * (gsz + q1 + gsz * gsz * (n - 4) / n - q2))
+    return mu_w, var_w, mu_d, var_d
+
+
 def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
     """Exact permutation-null moments of R_w and R_d for group sizes
     (m_x, n_x) on a graph with counting constants ``c``.
@@ -127,18 +157,8 @@ def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
     n = m_x + n_x
     if n != c.n_nodes:
         raise ValueError(f"m_x + n_x = {n} != N = {c.n_nodes}")
+    mu_w, var_w, mu_d, var_d = _moments(c, m_x, n_x)
     gsz = float(c.g_size)
-    q1 = float(c.q1)
-    q2 = float(c.q2)
-
-    mu_w = (m_x - 1) * (n_x - 1) * gsz / ((n - 1) * (n - 2))
-    var_w = (m_x * n_x * (m_x - 1) * (n_x - 1)
-             / (n * (n - 1) * (n - 2) ** 2)
-             * (gsz + q1 - gsz * gsz / (n - 1) + q2 / (n - 3)))
-    mu_d = (m_x - n_x) * gsz / n
-    var_d = (m_x * n_x / (n * (n - 1))
-             * (gsz + q1 + gsz * gsz * (n - 4) / n - q2))
-
     thresh = _DEGENERATE_REL * (gsz * gsz + 1.0)
     deg_w = var_w < thresh
     deg_d = var_d < thresh
@@ -186,16 +206,26 @@ def z_d(g: Graph, x, c: GraphConstants | None = None):
 
 
 def _degree_group_sums(g, lab):
-    in1 = lab == 1
-    if g.directed:
-        ko1 = float(g.k_out[in1].sum())
-        ko0 = float(g.k_out[~in1].sum())
-        ki1 = float(g.k_in[in1].sum())
-        ki0 = float(g.k_in[~in1].sum())
-        return ko1, ki1, ko0, ki0
-    k1 = float(g.k_out[in1].sum())
-    k0 = float(g.k_out[~in1].sum())
-    return k1, k1, k0, k0
+    """(ko1, ki1, ko0, ki0): out- and in-degree totals of group 1 and of
+    group 0, for one (N,) labeling or a (K, N) stack of them.  The sums are
+    exact integers, returned as float64."""
+    ko1 = (lab @ g.k_out).astype(np.float64)
+    ki1 = (lab @ g.k_in).astype(np.float64)
+    return ko1, ki1, float(g.k_out.sum()) - ko1, float(g.k_in.sum()) - ki1
+
+
+def _q_values(signed, r1, r2, ko1, ki1, ko0, ki0, total, directed):
+    """Q (or Q_d when ``signed``) from within counts and block degree sums;
+    works on scalars or arrays."""
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r2, dtype=np.float64)
+    if directed:
+        t1 = r1 - ko1 * ki1 / total
+        t2 = r2 - ko0 * ki0 / total
+    else:
+        t1 = 2.0 * r1 - ko1 * ki1 / (2.0 * total)
+        t2 = 2.0 * r2 - ko0 * ki0 / (2.0 * total)
+    return t1 - t2 if signed else t1 + t2
 
 
 def modularity_q(g: Graph, x):
@@ -212,11 +242,14 @@ def modularity_q(g: Graph, x):
     lab = as_labels(x, g.n_nodes)
     r1, r2 = within_counts(g, lab)
     ko1, ki1, ko0, ki0 = _degree_group_sums(g, lab)
+    # Not routed through _q_values: its t1 + t2 sums in another order, which
+    # changes the last bit of Q (and the ``bicomm moments`` JSON) on about a
+    # third of random labelings.
     if g.directed:
         tot = float(g.n_edges)
-        return (r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot
+        return float((r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot)
     tot = 2.0 * g.n_edges
-    return 2.0 * (r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot
+    return float(2.0 * (r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot)
 
 
 def q_d(g: Graph, x):
@@ -226,12 +259,8 @@ def q_d(g: Graph, x):
         raise ValueError("q_d is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
     r1, r2 = within_counts(g, lab)
-    ko1, ki1, ko0, ki0 = _degree_group_sums(g, lab)
-    if g.directed:
-        tot = float(g.n_edges)
-        return (r1 - ko1 * ki1 / tot) - (r2 - ko0 * ki0 / tot)
-    tot = 2.0 * g.n_edges
-    return (2.0 * r1 - ko1 * ki1 / tot) - (2.0 * r2 - ko0 * ki0 / tot)
+    return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab),
+                           float(g.n_edges), g.directed))
 
 
 def flip_delta(g: Graph, x, i: int):
@@ -261,17 +290,9 @@ def moment_arrays(c: GraphConstants):
     """
     n = c.n_nodes
     gsz = float(c.g_size)
-    q1 = float(c.q1)
-    q2 = float(c.q2)
     m = np.arange(n + 1, dtype=np.float64)
-    nx_ = n - m
     with np.errstate(invalid="ignore"):
-        mu_w = (m - 1) * (nx_ - 1) * gsz / ((n - 1) * (n - 2))
-        var_w = (m * nx_ * (m - 1) * (nx_ - 1) / (n * (n - 1) * (n - 2) ** 2)
-                 * (gsz + q1 - gsz * gsz / (n - 1) + q2 / (n - 3)))
-        mu_d = (m - nx_) * gsz / n
-        var_d = (m * nx_ / (n * (n - 1))
-                 * (gsz + q1 + gsz * gsz * (n - 4) / n - q2))
+        mu_w, var_w, mu_d, var_d = _moments(c, m, n - m)
     thresh = _DEGENERATE_REL * (gsz * gsz + 1.0)
     deg_w = var_w < thresh
     deg_d = var_d < thresh

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edgestats import (Partition, as_labels, modularity_q, moment_arrays,
-                        q_d, within_counts, z_d, z_w)
+from .edgestats import (Partition, _degree_group_sums, _q_values, as_labels,
+                        modularity_q, moment_arrays, q_d, within_counts, z_d,
+                        z_w)
 from .graph import Graph, graph_constants
 
 _IMPROVE_EPS = 1e-12  # strict improvement threshold: no cycling on plateaus
@@ -82,40 +83,6 @@ class FitResult:
     restart_iterations: list[int] = field(default_factory=list)
 
 
-def _z_values(kind, r1, r2, m, n_nodes, tables):
-    """Objective values from within counts; works on scalars or arrays.
-    Degenerate group sizes give 0, invalid ones NaN."""
-    mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
-    m = np.asarray(m, dtype=np.intp)
-    r1 = np.asarray(r1, dtype=np.float64)
-    r2 = np.asarray(r2, dtype=np.float64)
-    nx_ = n_nodes - m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is Objective.ZD_MAX:
-            z = (r1 - r2 - mu_d[m]) / s_d[m]
-            z = np.where(deg_d[m] & ~np.isnan(mu_d[m]), 0.0, z)
-        else:
-            rw = ((nx_ - 1) * r1 + (m - 1) * r2) / (n_nodes - 2)
-            z = (rw - mu_w[m]) / s_w[m]
-            z = np.where(deg_w[m] & ~np.isnan(mu_w[m]), 0.0, z)
-            if kind is Objective.ZW_MIN:
-                z = -z
-    return z
-
-
-def _q_values(kind, r1, r2, ko1, ki1, ko0, ki0, total, directed):
-    """Modularity-family values from counts and block degree sums."""
-    r1 = np.asarray(r1, dtype=np.float64)
-    r2 = np.asarray(r2, dtype=np.float64)
-    if directed:
-        t1 = r1 - ko1 * ki1 / total
-        t2 = r2 - ko0 * ki0 / total
-    else:
-        t1 = 2.0 * r1 - ko1 * ki1 / (2.0 * total)
-        t2 = 2.0 * r2 - ko0 * ki0 / (2.0 * total)
-    return t1 - t2 if kind is Objective.QD_MAX else t1 + t2
-
-
 def _fresh_value(g, lab, obj, c):
     """From-scratch objective evaluation (used for bookkeeping audits and
     the returned value's final verification)."""
@@ -156,8 +123,9 @@ def _z_coefficients(objs, tables, n, min_group):
     A = 1, B = -1, C = 1; ZW_MIN divides by -sd.  A degenerate size gets
     A = B = mu = 0 and sd = +-1, so the value is a signed 0, and a size
     outside [min_group, N - min_group] gets mu = +inf, so the value is -inf.
-    The results are bit for bit those of ``_z_values``: IEEE arithmetic
-    gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly.
+    This is the only coding of Z from counts: IEEE arithmetic gives
+    1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly, so the values
+    are bit for bit those of the statistics' direct formulas.
     Returns (A, B, mu, sd) and the per-objective C.
     """
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
@@ -179,6 +147,13 @@ def _z_coefficients(objs, tables, n, min_group):
                        np.where(live, sign * sd, np.where(deg, sign, 1.0))))
         scales.append(scale)
     return tuple(np.concatenate(t) for t in zip(*blocks)), np.array(scales)
+
+
+def _z_at(coef, scale, slot, r1, r2):
+    """((A R1 + B R2) / C - mu) / sd at table slot(s) ``slot``, in the
+    operation order of the lane kernel's flip pricing."""
+    a, b, mu, sd = coef
+    return ((a[slot] * r1 + b[slot] * r2) / scale - mu[slot]) / sd[slot]
 
 
 class _Lanes:
@@ -227,27 +202,22 @@ class _Lanes:
 
         kind = self.lane // self.restarts
         if self.z_family:
-            (self.a, self.b, self.mu, self.sd), scales = _z_coefficients(
-                objs, tables, n, min_group)
+            coef, scales = _z_coefficients(objs, tables, n, min_group)
+            self.a, self.b, self.mu, self.sd = coef
             self.toff = kind * (n + 3) + 1
             self.scale = scales[kind]
-            self.cur = np.empty(n_lanes)
-            for k, obj in enumerate(objs):
-                sl = kind == k
-                self.cur[sl] = _z_values(obj, self.r1[sl], self.r2[sl],
-                                         self.m1[sl], n, tables)
+            self.cur = _z_at(coef, self.scale, self.toff + self.m1,
+                             self.r1, self.r2)
             self.fields = ("scale",)
         else:
             m = np.arange(-1, n + 2)
             self.kill = np.where((m >= min_group) & (m <= n - min_group),
                                  0.0, np.inf)
             self.toff = np.ones(n_lanes, dtype=np.intp)
-            is1 = self.sg < 0
-            self.ko1 = np.where(is1, self.k_out, 0.0).sum(axis=1)
-            self.ki1 = np.where(is1, self.k_in, 0.0).sum(axis=1)
-            self.ko0 = self.k_out.sum() - self.ko1
-            self.ki0 = self.k_in.sum() - self.ki1
-            self.cur = _q_values(objs[0], self.r1, self.r2, self.ko1,
+            self.signed = objs[0] is Objective.QD_MAX
+            self.ko1, self.ki1, self.ko0, self.ki0 = _degree_group_sums(
+                g, self.sg < 0)
+            self.cur = _q_values(self.signed, self.r1, self.r2, self.ko1,
                                  self.ki1, self.ko0, self.ki0,
                                  float(g.n_edges), g.directed)
             self.fields = ("ko1", "ki1", "ko0", "ki0")
@@ -280,7 +250,7 @@ class _Lanes:
         ko1n += self.ko1[:, None]
         ki1n = self.sg * self.k_in
         ki1n += self.ki1[:, None]
-        v = _q_values(self.objs[0], r1n, r2n, ko1n, ki1n,
+        v = _q_values(self.signed, r1n, r2n, ko1n, ki1n,
                       (self.ko0 + self.ko1)[:, None] - ko1n,
                       (self.ki0 + self.ki1)[:, None] - ki1n,
                       float(self.g.n_edges), self.g.directed)
@@ -459,19 +429,15 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
 
     degenerate = False
     if obj in _Z_FAMILY:
-        c = graph_constants(g)
-        tables = moment_arrays(c)
-        vals = _z_values(obj, r1, r2, m, n, tables)
+        tables = moment_arrays(graph_constants(g))
+        coef, scales = _z_coefficients([obj], tables, n, min_group)
+        vals = _z_at(coef, scales[0], m + 1, r1, r2)
         degenerate = _all_degenerate(obj, tables, n, min_group)
     else:
-        ko1 = vecs.astype(np.float64) @ g.k_out
-        ki1 = vecs.astype(np.float64) @ g.k_in
-        ko0 = float(g.k_out.sum()) - ko1
-        ki0 = float(g.k_in.sum()) - ki1
-        vals = _q_values(obj, r1, r2, ko1, ki1, ko0, ki0,
+        vals = _q_values(obj is Objective.QD_MAX, r1, r2,
+                         *_degree_group_sums(g, vecs),
                          float(g.n_edges), g.directed)
     vals = np.where(valid, vals, -np.inf)
-    vals = np.where(np.isnan(vals), -np.inf, vals)
     b = int(np.argmax(vals))
     return FitResult(labels=Partition(vecs[b]), value=float(vals[b]),
                      restart_values=[float(vals[b])], iterations=0,

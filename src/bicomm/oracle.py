@@ -52,6 +52,26 @@ def expected_edge_total(p: ConnectivityMatrix, m: int, n: int, directed: bool):
     return tot if directed else 0.5 * tot
 
 
+def _drifts(p: ConnectivityMatrix, m: int, n: int, d1, d2):
+    """(rdc, rwc, d_condition, w_condition): the centered population
+    statistics E(R_d - mu_d) and E(R_w - mu_w) in their factored closed
+    forms, for scalar or array d1, d2, and their leading factors (ordered
+    pairs; halve both statistics for an undirected graph)."""
+    p11, p22 = p.p11, p.p22
+    pc = p.p12 + p.p21
+    big_n = m + n
+    d_cond = 2 * (m - 1) * p11 - 2 * (n - 1) * p22 - (m - n) * pc
+    w_cond = p11 + p22 - p.p12 - p.p21
+    rdc = (m * n / big_n) * d_cond * (1 - d1 / m - d2 / n)
+    rwc = (m * n * (m - 1) * (n - 1) / ((big_n - 1) * (big_n - 2))
+           * w_cond
+           * (1 + d1 ** 2 / (m * (m - 1)) + d2 ** 2 / (n * (n - 1))
+              - (2 * m - 1) * d1 / (m * (m - 1))
+              - (2 * n - 1) * d2 / (n * (n - 1))
+              + 2 * d1 * d2 / (m * n)))
+    return rdc, rwc, d_cond, w_cond
+
+
 def expected_counts_sbm(p: ConnectivityMatrix, m: int, n: int,
                         d1: int, d2: int, directed: bool):
     """Population expectations under a planted block model when a candidate
@@ -69,21 +89,12 @@ def expected_counts_sbm(p: ConnectivityMatrix, m: int, n: int,
         raise ValueError("undirected expectations need p12 == p21")
     p11, p22 = p.p11, p.p22
     pc = p.p12 + p.p21
-    big_n = m + n
 
     e_r1 = ((m - d1) * (m - d1 - 1) * p11 + (m - d1) * d2 * pc
             + d2 * (d2 - 1) * p22)
     e_r2 = ((n - d2) * (n - d2 - 1) * p22 + (n - d2) * d1 * pc
             + d1 * (d1 - 1) * p11)
-    rdc = (m * n / (m + n)
-           * (2 * (m - 1) * p11 - 2 * (n - 1) * p22 - (m - n) * pc)
-           * (1 - d1 / m - d2 / n))
-    rwc = (m * n * (m - 1) * (n - 1) / ((big_n - 1) * (big_n - 2))
-           * (p11 + p22 - p.p12 - p.p21)
-           * (1 + d1 ** 2 / (m * (m - 1)) + d2 ** 2 / (n * (n - 1))
-              - (2 * m - 1) * d1 / (m * (m - 1))
-              - (2 * n - 1) * d2 / (n * (n - 1))
-              + 2 * d1 * d2 / (m * n)))
+    rdc, rwc, _, _ = _drifts(p, m, n, d1, d2)
     scale = 1.0 if directed else 0.5
     return tuple(scale * v for v in (e_r1, e_r2, rdc, rwc))
 
@@ -147,17 +158,7 @@ def verify_theorem_2_3(p: ConnectivityMatrix, m: int, n: int) -> TheoremGridRepo
     p11, p22 = p.p11, p.p22
     pc = p.p12 + p.p21
     big_n = m + n
-
-    d_cond = 2 * (m - 1) * p11 - 2 * (n - 1) * p22 - (m - n) * pc
-    w_cond = p11 + p22 - p.p12 - p.p21
-
-    rdc = (m * n / big_n) * d_cond * (1 - d1 / m - d2 / n)
-    rwc = (m * n * (m - 1) * (n - 1) / ((big_n - 1) * (big_n - 2))
-           * w_cond
-           * (1 + d1 ** 2 / (m * (m - 1)) + d2 ** 2 / (n * (n - 1))
-              - (2 * m - 1) * d1 / (m * (m - 1))
-              - (2 * n - 1) * d2 / (n * (n - 1))
-              + 2 * d1 * d2 / (m * n)))
+    rdc, rwc, d_cond, w_cond = _drifts(p, m, n, d1, d2)
 
     m_x = m - d1 + d2
     n_x = big_n - m_x

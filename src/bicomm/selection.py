@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edgestats import as_labels, within_counts
+from .edgestats import as_labels, block_counts, within_counts
 from .genmodels import ConnectivityMatrix
 from .graph import Graph
 from .optimizer import CANDIDATE_KINDS, FitResult
@@ -73,13 +73,7 @@ def estimate_block_probs(g: Graph, x) -> BlockEstimates:
     n_x = lab.size - m_x
     if min(m_x, n_x) < 2:
         raise ValueError("both groups need at least 2 nodes")
-    e = g.edges
-    a = lab[e[:, 0]]
-    b = lab[e[:, 1]]
-    r1 = int(np.count_nonzero(a & b))
-    r2 = int(np.count_nonzero((1 - a) & (1 - b)))
-    e12 = int(np.count_nonzero(a & (1 - b)))
-    e21 = int(np.count_nonzero((1 - a) & b))
+    r1, e12, e21, r2 = block_counts(g, lab)
     if g.directed:
         p11 = r1 / (m_x * (m_x - 1))
         p22 = r2 / (n_x * (n_x - 1))

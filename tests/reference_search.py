@@ -6,11 +6,32 @@ One Python loop per restart and one numpy sweep per accepted flip; test-only.
 
 import numpy as np
 
-from bicomm.edgestats import Partition, as_labels, moment_arrays, within_counts
+from bicomm.edgestats import (Partition, _q_values, as_labels, moment_arrays,
+                              within_counts)
 from bicomm.graph import graph_constants
 from bicomm.optimizer import (_IMPROVE_EPS, _Z_FAMILY, FitConfig, FitResult,
-                              _all_degenerate, _q_values, _random_valid_labels,
-                              _z_values)
+                              Objective, _all_degenerate, _random_valid_labels)
+
+
+def _z_values(kind, r1, r2, m, n_nodes, tables):
+    """Objective values from within counts; works on scalars or arrays.
+    Degenerate group sizes give 0, invalid ones NaN."""
+    mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
+    m = np.asarray(m, dtype=np.intp)
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r2, dtype=np.float64)
+    nx_ = n_nodes - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is Objective.ZD_MAX:
+            z = (r1 - r2 - mu_d[m]) / s_d[m]
+            z = np.where(deg_d[m] & ~np.isnan(mu_d[m]), 0.0, z)
+        else:
+            rw = ((nx_ - 1) * r1 + (m - 1) * r2) / (n_nodes - 2)
+            z = (rw - mu_w[m]) / s_w[m]
+            z = np.where(deg_w[m] & ~np.isnan(mu_w[m]), 0.0, z)
+            if kind is Objective.ZW_MIN:
+                z = -z
+    return z
 
 
 def reference_greedy_fit(g, obj, cfg=None):
@@ -49,6 +70,7 @@ def reference_greedy_fit(g, obj, cfg=None):
     k_in = g.k_in.astype(np.float64)
     total = float(g.n_edges)
     directed = g.directed
+    signed = obj is Objective.QD_MAX
 
     best_val = -np.inf
     best_lab = None
@@ -75,7 +97,7 @@ def reference_greedy_fit(g, obj, cfg=None):
             ki1 = float(k_in[sel].sum())
             ko0 = float(k_out.sum() - ko1)
             ki0 = float(k_in.sum() - ki1)
-            cur = float(_q_values(obj, r1, r2, ko1, ki1, ko0, ki0,
+            cur = float(_q_values(signed, r1, r2, ko1, ki1, ko0, ki0,
                                   total, directed))
 
         iters = 0
@@ -92,7 +114,7 @@ def reference_greedy_fit(g, obj, cfg=None):
             else:
                 ko1n = ko1 + np.where(is1, -k_out, k_out)
                 ki1n = ki1 + np.where(is1, -k_in, k_in)
-                vals = _q_values(obj, r1n, r2n, ko1n, ki1n,
+                vals = _q_values(signed, r1n, r2n, ko1n, ki1n,
                                  ko0 + ko1 - ko1n, ki0 + ki1 - ki1n,
                                  total, directed)
             vals = np.where(valid, vals, -np.inf)

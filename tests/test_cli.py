@@ -2,9 +2,13 @@ import itertools
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bicomm.cli import main
 from bicomm.edgestats import Partition, z_d, z_w
@@ -253,6 +257,76 @@ def test_usage_and_format_exit_codes(tmp_path, capsys):
     tiny.write_text("a b\nb c\n")
     assert main(["detect", "--edges", str(tiny), "--undirected"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_input_files_exit_3(tmp_path, two_clique_file, kind, capsys):
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"a b\n\xe9 c\nc d\n")
+    bad = str(bad)
+    ok = write_labels(tmp_path, "ok.labels", [1] * 5 + [0] * 5)
+    assert main(["detect", "--edges", bad, "--undirected"]) == 3
+    assert main(["detect", "--edges", two_clique_file, "--undirected",
+                 "--restarts", "1", "--warm-start", bad]) == 3
+    assert main(["eval", "--truth", bad, "--est", ok]) == 3
+    assert main(["eval", "--truth", ok, "--est", bad]) == 3
+    assert main(["moments", "--edges", bad, "--labels", ok,
+                 "--undirected"]) == 3
+    assert main(["moments", "--edges", two_clique_file, "--labels", bad,
+                 "--undirected"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+_NODES = st.sampled_from(["0", "1", "a", "b", "c", "d", "e", "f", "\u00e9"])
+_TOKENS = st.sampled_from(["0", "1", "a", "#", ",", "-1", "2", "\t", ""])
+_lines = st.one_of(st.tuples(_NODES, _NODES).map(" ".join),
+                   st.tuples(_NODES, _NODES).map(",".join),
+                   st.lists(_TOKENS, max_size=4).map(" ".join))
+_token_files = st.lists(_lines, max_size=25).map(
+    lambda lines: "\n".join(lines).encode("utf-8"))
+_input_files = st.one_of(st.binary(max_size=120), _token_files)
+
+
+def _utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cmd=st.sampled_from(["detect", "eval", "moments"]),
+       first=_input_files, second=_input_files, directed=st.booleans(),
+       warm=st.booleans())
+@example(cmd="detect", first=b"\xff\xfe a b\n", second=b"",
+         directed=False, warm=False)
+def test_fuzzed_input_files_give_documented_exit_codes(cmd, first, second,
+                                                       directed, warm):
+    """Random bytes or token soup as the edge list and the label file: the
+    CLI returns 0, 2, 3 or 4 and raises nothing; a first file that is not
+    UTF-8 gives 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "first", Path(tmp) / "second"
+        a.write_bytes(first)
+        b.write_bytes(second)
+        flag = "--directed" if directed else "--undirected"
+        out = str(Path(tmp) / "out.json")
+        if cmd == "detect":
+            argv = ["detect", "--edges", str(a), flag, "--restarts", "1",
+                    "--out", out] + (["--warm-start", str(b)] if warm else [])
+        elif cmd == "eval":
+            argv = ["eval", "--truth", str(a), "--est", str(b)]
+        else:
+            argv = ["moments", "--edges", str(a), "--labels", str(b), flag,
+                    "--out", out]
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if not _utf8(first):
+        assert code == 3
 
 
 def test_module_entry_point(tmp_path):

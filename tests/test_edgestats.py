@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicomm.edgestats import (Partition, flip_delta, modularity_q,
-                              perm_null_moments, q_d, r_d, r_w, within_counts,
-                              z_d, z_w)
+from bicomm.edgestats import (Partition, block_counts, flip_delta,
+                              modularity_q, moment_arrays, perm_null_moments,
+                              q_d, r_d, r_w, within_counts, z_d, z_w)
 from bicomm.graph import Graph, graph_constants
 
 
@@ -192,3 +194,47 @@ def test_flip_delta_matches_recount():
         lab2 = lab.copy()
         lab2[i] ^= 1
         assert within_counts(g, lab2) == (r1 + d1, r2 + d2)
+
+
+# ---- one formula, two callers ----------------------------------------------
+
+@st.composite
+def seeded_graphs(draw, max_n):
+    n = draw(st.integers(4, max_n))
+    directed = draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_graph(rng, n, directed, p=density), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_graphs(300))
+def test_scalar_moments_equal_table_rows(case):
+    """perm_null_moments(c, m, N - m) is row m of moment_arrays(c), bit for
+    bit, for every m in 2..N-2."""
+    g, _ = case
+    c = graph_constants(g)
+    mu_w, s_w, mu_d, s_d, deg_w, deg_d = moment_arrays(c)
+    n = g.n_nodes
+    for m in range(2, n - 1):
+        mom = perm_null_moments(c, m, n - m)
+        got = (mom.mu_w, mom.sigma_w, mom.mu_d, mom.sigma_d)
+        want = (mu_w[m], s_w[m], mu_d[m], s_d[m])
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert (mom.degenerate_w, mom.degenerate_d) == (deg_w[m], deg_d[m])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeded_graphs(40))
+def test_block_counts_match_dense_recount(case):
+    g, rng = case
+    lab = (rng.random(g.n_nodes) < 0.5).astype(np.int8)
+    a = np.zeros((g.n_nodes, g.n_nodes), dtype=np.int64)
+    a[g.edges[:, 0], g.edges[:, 1]] = 1
+    one = lab == 1
+    dense = (a[one][:, one].sum(), a[one][:, ~one].sum(),
+             a[~one][:, one].sum(), a[~one][:, ~one].sum())
+    counts = block_counts(g, lab)
+    assert counts == dense
+    assert sum(counts) == g.n_edges
+    assert within_counts(g, lab) == (counts[0], counts[3])
