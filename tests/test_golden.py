@@ -6,8 +6,10 @@ token list itself, or its sha256 and length when the list is longer than
 ``INLINE`` tokens.  The pins in ``golden/corpus.json`` and the demo outputs
 in ``golden/demos/`` were generated once from the code before the
 one-formula-per-place refactor of ``edgestats``, ``optimizer``,
-``selection``, ``oracle`` and ``cli``; any later change to these outputs is a
-change of behaviour, not of form.
+``selection``, ``oracle`` and ``cli``; the ``exhaustive_fit_wide`` pins
+(N 13-16) were generated from the one-vector-per-row enumeration before
+``exhaustive_fit`` split the nodes into halves.  Any later change to these
+outputs is a change of behaviour, not of form.
 """
 
 import hashlib
@@ -170,12 +172,7 @@ def build_counts():
     return out
 
 
-def build_exhaustive():
-    graphs = {k: v for k, v in special_graphs().items() if k != "k4-d"}
-    for i, n in enumerate((5, 7, 9, 12)):
-        for directed in (False, True):
-            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
-                n, directed, 0.35, seed=500 + 2 * i + directed)
+def exhaustive_pins(section, graphs):
     out = {}
     for name, g in graphs.items():
         for obj in Objective:
@@ -185,11 +182,33 @@ def build_exhaustive():
                 if g.n_nodes < 2 * min_group:
                     continue
                 f = exhaustive_fit(g, obj, min_group=min_group)
-                out[f"exhaustive_fit/{name}/{obj.value}/{min_group}"] = [
+                out[f"{section}/{name}/{obj.value}/{min_group}"] = [
                     f.labels.labels.tobytes().hex(), tok(f.value),
                     *[tok(v) for v in f.restart_values], tok(f.iterations),
                     tok(f.degenerate), f.objective.value]
     return out
+
+
+def build_exhaustive():
+    graphs = {k: v for k, v in special_graphs().items() if k != "k4-d"}
+    for i, n in enumerate((5, 7, 9, 12)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.35, seed=500 + 2 * i + directed)
+    return exhaustive_pins("exhaustive_fit", graphs)
+
+
+def build_exhaustive_wide():
+    """N 13-16, where the node set splits into two halves of 6-8 bits."""
+    star = [(0, j) for j in range(1, 15)]
+    graphs = {"empty14-u": Graph(14, [], False),
+              "star15-u": Graph(15, star, False),
+              "star15-d": Graph(15, star, True)}
+    for i, n in enumerate((13, 14, 15, 16)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.3, seed=900 + 2 * i + directed)
+    return exhaustive_pins("exhaustive_fit_wide", graphs)
 
 
 def build_cli_moments(workdir):
@@ -262,6 +281,10 @@ def test_golden_counts(pinned):
 
 def test_golden_exhaustive(pinned):
     check(pinned, ("exhaustive_fit",), build_exhaustive())
+
+
+def test_golden_exhaustive_wide(pinned):
+    check(pinned, ("exhaustive_fit_wide",), build_exhaustive_wide())
 
 
 def test_golden_cli_moments(pinned, tmp_path):
