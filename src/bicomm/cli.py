@@ -105,6 +105,10 @@ def cmd_detect(args):
     if args.warm_start:
         warm = Partition(_read_labels(args.warm_start, g.n_nodes))
     cfg = FitConfig(restarts=args.restarts, seed=args.seed, warm_start=warm)
+    if g.n_nodes < 2 * cfg.min_group + 1:
+        raise GraphFormatError(
+            f"graph too small: {g.n_nodes} distinct nodes (the search needs "
+            f"at least {2 * cfg.min_group + 1})")
     c = graph_constants(g)
 
     report = {

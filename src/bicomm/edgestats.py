@@ -3,6 +3,7 @@ statistics Z_w and Z_d, and the reference objectives Q and Q_d."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +24,7 @@ class Partition:
     __slots__ = ("labels",)
 
     def __init__(self, labels):
-        a = np.asarray(labels)
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("labels must be a non-empty 1-d array")
-        if not np.all((a == 0) | (a == 1)):
-            raise ValueError("labels must be 0/1")
-        a = a.astype(np.int8)
-        a.setflags(write=False)
-        self.labels = a
+        self.labels = _checked_labels(labels)
 
     @property
     def m_x(self):
@@ -55,9 +49,22 @@ class Partition:
         return f"Partition(m_x={self.m_x}, n_x={self.n_x})"
 
 
+def _checked_labels(labels):
+    """Read-only int8 copy of a 0/1 array-like, validated."""
+    a = np.asarray(labels)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("labels must be a non-empty 1-d array")
+    if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
+        raise ValueError("labels must be 0/1")
+    a = a.astype(np.int8)
+    a.setflags(write=False)
+    return a
+
+
 def as_labels(x, n_nodes=None):
-    """Coerce a Partition or 0/1 array-like into a validated int8 array."""
-    lab = x.labels if isinstance(x, Partition) else Partition(x).labels
+    """Coerce a Partition or 0/1 array-like into a validated read-only int8
+    array."""
+    lab = x.labels if isinstance(x, Partition) else _checked_labels(x)
     if n_nodes is not None and lab.size != n_nodes:
         raise ValueError(f"labels length {lab.size} != number of nodes {n_nodes}")
     return lab
@@ -87,7 +94,11 @@ def block_counts(g: Graph, x):
     With a, b the labels of the edges' first and second ends: R1 = #(a & b),
     E12 = #a - R1, E21 = #b - R1 and R2 = |E| - #(a | b).
     """
-    lab = as_labels(x, g.n_nodes)
+    return _block_counts(g, as_labels(x, g.n_nodes))
+
+
+def _block_counts(g, lab):
+    """``block_counts`` of already validated int8 labels."""
     e = g.edges
     a = lab[e[:, 0]]
     b = lab[e[:, 1]]
@@ -117,13 +128,15 @@ def r_w(g: Graph, x):
     """R_w = ((n_x - 1) R1 + (m_x - 1) R2) / (N - 2), the size-weighted
     within-count that equalizes the two groups' null contributions."""
     lab = as_labels(x, g.n_nodes)
-    n = lab.size
-    if n < 3:
+    if lab.size < 3:
         raise ValueError("R_w needs at least 3 nodes")
-    m_x = int(lab.sum())
-    n_x = n - m_x
-    r1, r2 = within_counts(g, lab)
-    return ((n_x - 1) * r1 + (m_x - 1) * r2) / (n - 2)
+    r1, _, _, r2 = _block_counts(g, lab)
+    return _r_w(lab.size, int(np.count_nonzero(lab)), r1, r2)
+
+
+def _r_w(n, m_x, r1, r2):
+    """R_w of a labeling with m_x ones on n nodes from its within counts."""
+    return ((n - m_x - 1) * r1 + (m_x - 1) * r2) / (n - 2)
 
 
 def _moments(c: GraphConstants, m, n_x):
@@ -143,6 +156,28 @@ def _moments(c: GraphConstants, m, n_x):
     return mu_w, var_w, mu_d, var_d
 
 
+def _degenerate(c: GraphConstants, var):
+    """Whether a null variance (scalar or array) is zero up to the relative
+    threshold."""
+    gsz = float(c.g_size)
+    return var < _DEGENERATE_REL * (gsz * gsz + 1.0)
+
+
+def _null_moments(c: GraphConstants, m_x: int, n_x: int):
+    """(mu_w, var_w, mu_d, var_d, degenerate_w, degenerate_d) for int group
+    sizes, a degenerate variance set to 0.0; checks the sizes."""
+    if m_x < 2 or n_x < 2:
+        raise ValueError("both groups need at least 2 nodes")
+    n = m_x + n_x
+    if n != c.n_nodes:
+        raise ValueError(f"m_x + n_x = {n} != N = {c.n_nodes}")
+    mu_w, var_w, mu_d, var_d = _moments(c, m_x, n_x)
+    deg_w = _degenerate(c, var_w)
+    deg_d = _degenerate(c, var_d)
+    return (mu_w, 0.0 if deg_w else var_w, mu_d, 0.0 if deg_d else var_d,
+            deg_w, deg_d)
+
+
 def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
     """Exact permutation-null moments of R_w and R_d for group sizes
     (m_x, n_x) on a graph with counting constants ``c``.
@@ -150,59 +185,44 @@ def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
     Requires m_x, n_x >= 2 (the variance of R_w involves both group sizes
     minus one) and N = m_x + n_x equal to the graph's node count.
     """
-    m_x = int(m_x)
-    n_x = int(n_x)
-    if m_x < 2 or n_x < 2:
-        raise ValueError("both groups need at least 2 nodes")
-    n = m_x + n_x
-    if n != c.n_nodes:
-        raise ValueError(f"m_x + n_x = {n} != N = {c.n_nodes}")
-    mu_w, var_w, mu_d, var_d = _moments(c, m_x, n_x)
-    gsz = float(c.g_size)
-    thresh = _DEGENERATE_REL * (gsz * gsz + 1.0)
-    deg_w = var_w < thresh
-    deg_d = var_d < thresh
-    if deg_w:
-        var_w = 0.0
-    if deg_d:
-        var_d = 0.0
-    return MomentSet(mu_w=mu_w, sigma_w=float(np.sqrt(var_w)),
-                     mu_d=mu_d, sigma_d=float(np.sqrt(var_d)),
+    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(c, int(m_x),
+                                                           int(n_x))
+    return MomentSet(mu_w=mu_w, sigma_w=math.sqrt(var_w),
+                     mu_d=mu_d, sigma_d=math.sqrt(var_d),
                      var_w=float(var_w), var_d=float(var_d),
                      degenerate_w=bool(deg_w), degenerate_d=bool(deg_d))
 
 
-def _checked_sizes(g, x):
+def _z(g, x, c, within):
+    """Z_w (``within``) or Z_d of labeling x, its labels checked once."""
     lab = as_labels(x, g.n_nodes)
-    m_x = int(lab.sum())
+    m_x = int(np.count_nonzero(lab))
     n_x = lab.size - m_x
     if min(m_x, n_x) < 2:
         raise ValueError("Z statistics need both groups of size >= 2")
-    return lab, m_x, n_x
+    if c is None:
+        c = graph_constants(g)
+    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(c, m_x, n_x)
+    r1, _, _, r2 = _block_counts(g, lab)
+    if within:
+        if deg_w:
+            return 0.0
+        return (_r_w(lab.size, m_x, r1, r2) - mu_w) / math.sqrt(var_w)
+    if deg_d:
+        return 0.0
+    return (r1 - r2 - mu_d) / math.sqrt(var_d)
 
 
 def z_w(g: Graph, x, c: GraphConstants | None = None):
     """Standardized within-edge statistic (R_w - mu_w) / sigma_w; 0.0 when
     the null variance is degenerate."""
-    lab, m_x, n_x = _checked_sizes(g, x)
-    if c is None:
-        c = graph_constants(g)
-    mom = perm_null_moments(c, m_x, n_x)
-    if mom.degenerate_w:
-        return 0.0
-    return (r_w(g, lab) - mom.mu_w) / mom.sigma_w
+    return _z(g, x, c, True)
 
 
 def z_d(g: Graph, x, c: GraphConstants | None = None):
     """Standardized difference statistic (R_d - mu_d) / sigma_d; 0.0 when
     the null variance is degenerate."""
-    lab, m_x, n_x = _checked_sizes(g, x)
-    if c is None:
-        c = graph_constants(g)
-    mom = perm_null_moments(c, m_x, n_x)
-    if mom.degenerate_d:
-        return 0.0
-    return (r_d(g, lab) - mom.mu_d) / mom.sigma_d
+    return _z(g, x, c, False)
 
 
 def _degree_group_sums(g, lab):
@@ -240,7 +260,7 @@ def modularity_q(g: Graph, x):
     if g.n_edges == 0:
         raise ValueError("modularity is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
-    r1, r2 = within_counts(g, lab)
+    r1, _, _, r2 = _block_counts(g, lab)
     ko1, ki1, ko0, ki0 = _degree_group_sums(g, lab)
     # Not routed through _q_values: its t1 + t2 sums in another order, which
     # changes the last bit of Q (and the ``bicomm moments`` JSON) on about a
@@ -258,7 +278,7 @@ def q_d(g: Graph, x):
     if g.n_edges == 0:
         raise ValueError("q_d is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
-    r1, r2 = within_counts(g, lab)
+    r1, _, _, r2 = _block_counts(g, lab)
     return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab),
                            float(g.n_edges), g.directed))
 
@@ -289,13 +309,11 @@ def moment_arrays(c: GraphConstants):
     Used by the search loops to price candidate flips in bulk.
     """
     n = c.n_nodes
-    gsz = float(c.g_size)
     m = np.arange(n + 1, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         mu_w, var_w, mu_d, var_d = _moments(c, m, n - m)
-    thresh = _DEGENERATE_REL * (gsz * gsz + 1.0)
-    deg_w = var_w < thresh
-    deg_d = var_d < thresh
+    deg_w = _degenerate(c, var_w)
+    deg_d = _degenerate(c, var_d)
     var_w = np.where(deg_w, 0.0, var_w)
     var_d = np.where(deg_d, 0.0, var_d)
     invalid = (m < 2) | (m > n - 2)

@@ -232,7 +232,9 @@ def load_edge_list(source, directed) -> Graph:
     e = np.asarray(rows, dtype=np.int64)
     if not directed:
         e = np.sort(e, axis=1)
-    uniq = np.unique(e, axis=0)
-    dupes = e.shape[0] - uniq.shape[0]
-    return Graph(len(names), uniq, directed, node_names=names,
-                 duplicate_edges=dupes)
+    # one int64 key per row, u N + v: sorted keys are the rows in lex order
+    n = len(names)
+    keys = np.unique(e[:, 0] * n + e[:, 1])
+    dupes = e.shape[0] - keys.size
+    return Graph(n, np.column_stack(np.divmod(keys, n)), directed,
+                 node_names=names, duplicate_edges=dupes)

@@ -398,15 +398,30 @@ def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitRes
     return _lane_search(g, [obj], cfg)[0]
 
 
+_GRID_CELLS = 1 << 16  # label vectors scored per block of the exhaustive grid
+
+
+def _all_labelings(k):
+    """(2^k, k) int64 rows of every labeling of k nodes, in counting order
+    with the first node as the most significant bit."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+
+
 def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
-    """Global optimum by enumerating all 2^N label vectors (N <= 16).
+    """Global optimum by enumerating all 2^N label vectors (N <= 20).
 
     Vectors are generated with node 0 as the most significant bit, so ties
-    resolve to the lexicographically smallest label vector.
+    resolve to the lexicographically smallest label vector.  The nodes split
+    into a high half 0..h-1 and a low half h..N-1 with labelings Xh and Xl:
+    vector hi 2^(N-h) + lo is cell (hi, lo) of a (2^h, 2^(N-h)) grid, scored
+    in blocks of rows.  With U the upper-triangular edge counts (a
+    reciprocal pair counts 2), R1 = xh U_hh xh + xl U_ll xl + xh U_hl xl;
+    group 1's size and degree sums add over the halves, and
+    R2 = |E| - T1 + R1 with T1 the incident-edge total of group 1.
     """
     n = g.n_nodes
-    if n > 16:
-        raise ValueError("exhaustive search is limited to 16 nodes")
+    if n > 20:
+        raise ValueError("exhaustive search is limited to 20 nodes")
     if min_group < 2:
         raise ValueError("min_group must be >= 2")
     if n < 2 * min_group:
@@ -414,34 +429,54 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     if obj not in _Z_FAMILY and g.n_edges == 0:
         raise ValueError("modularity objectives need a non-empty graph")
 
-    shifts = np.arange(n - 1, -1, -1)
-    vecs = ((np.arange(1 << n, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.int8)
-    m = vecs.sum(axis=1, dtype=np.int64)
-    valid = (m >= min_group) & (m <= n - min_group)
+    h = n // 2
+    xh, xl = _all_labelings(h), _all_labelings(n - h)
+    u = np.zeros((n, n), dtype=np.int64)
+    np.add.at(u, (g.edges.min(axis=1), g.edges.max(axis=1)), 1)
+    # group 1's size, out-, in- and incident-edge totals
+    w = np.stack([np.ones(n, dtype=np.int64), g.k_out, g.k_in,
+                  u.sum(axis=0) + u.sum(axis=1)], axis=1)
 
-    r1 = np.zeros(1 << n, dtype=np.int64)
-    r2 = np.zeros(1 << n, dtype=np.int64)
-    for u, v in g.edges:
-        a = vecs[:, u]
-        b = vecs[:, v]
-        r1 += a & b
-        r2 += (1 - a) & (1 - b)
+    def half(x, s):
+        """Within-half R1 and the group-1 sums of each labeling."""
+        return np.column_stack([((x @ u[s, s]) * x).sum(axis=1), x @ w[s]])
+
+    sh, sl = half(xh, slice(0, h)), half(xl, slice(h, n))
+    cross = xh @ u[:h, h:]
 
     degenerate = False
     if obj in _Z_FAMILY:
         tables = moment_arrays(graph_constants(g))
         coef, scales = _z_coefficients([obj], tables, n, min_group)
-        vals = _z_at(coef, scales[0], m + 1, r1, r2)
         degenerate = _all_degenerate(obj, tables, n, min_group)
     else:
-        vals = _q_values(obj is Objective.QD_MAX, r1, r2,
-                         *_degree_group_sums(g, vecs),
-                         float(g.n_edges), g.directed)
-    vals = np.where(valid, vals, -np.inf)
-    b = int(np.argmax(vals))
-    return FitResult(labels=Partition(vecs[b]), value=float(vals[b]),
-                     restart_values=[float(vals[b])], iterations=0,
-                     degenerate=degenerate, objective=obj)
+        sizes = np.arange(n + 1)
+        kill = np.where((sizes >= min_group) & (sizes <= n - min_group),
+                        0.0, np.inf)
+
+    best, at = -np.inf, None
+    step = max(1, _GRID_CELLS >> (n - h))
+    for top in range(0, 1 << h, step):
+        hs = sh[top:top + step, :, None]
+        r1 = hs[:, 0] + sl[:, 0] + cross[top:top + step] @ xl.T
+        m = hs[:, 1] + sl[:, 1]
+        r2 = g.n_edges - (hs[:, 4] + sl[:, 4]) + r1
+        if obj in _Z_FAMILY:  # a size the search may not visit prices -inf
+            vals = _z_at(coef, scales[0], m + 1, r1, r2)
+        else:
+            ko1 = (hs[:, 2] + sl[:, 2]).astype(np.float64)
+            ki1 = (hs[:, 3] + sl[:, 3]).astype(np.float64)
+            vals = _q_values(obj is Objective.QD_MAX, r1, r2, ko1, ki1,
+                             float(g.k_out.sum()) - ko1,
+                             float(g.k_in.sum()) - ki1,
+                             float(g.n_edges), g.directed)
+            vals -= kill[m]
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        if at is None or vals[i, j] > best:  # ties keep the earlier vector
+            best, at = float(vals[i, j]), (top + i, j)
+    lab = np.concatenate([xh[at[0]], xl[at[1]]])
+    return FitResult(labels=Partition(lab), value=best, restart_values=[best],
+                     iterations=0, degenerate=degenerate, objective=obj)
 
 
 CANDIDATE_KINDS = ("zw-max", "zw-min", "zd")

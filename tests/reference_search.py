@@ -1,16 +1,19 @@
-"""Restart-by-restart greedy search: the reference the lane kernel in
+"""Restart-by-restart greedy search and one-row-per-vector exhaustive
+search: the references the lane kernel and the by-halves enumeration in
 ``bicomm.optimizer`` must reproduce bit for bit.
 
-One Python loop per restart and one numpy sweep per accepted flip; test-only.
+One Python loop per restart and one numpy sweep per accepted flip; one
+Python loop over the edges across a (2^N, N) label matrix; test-only.
 """
 
 import numpy as np
 
-from bicomm.edgestats import (Partition, _q_values, as_labels, moment_arrays,
-                              within_counts)
+from bicomm.edgestats import (Partition, _degree_group_sums, _q_values,
+                              as_labels, moment_arrays, within_counts)
 from bicomm.graph import graph_constants
 from bicomm.optimizer import (_IMPROVE_EPS, _Z_FAMILY, FitConfig, FitResult,
-                              Objective, _all_degenerate, _random_valid_labels)
+                              Objective, _all_degenerate, _random_valid_labels,
+                              _z_at, _z_coefficients)
 
 
 def _z_values(kind, r1, r2, m, n_nodes, tables):
@@ -157,3 +160,45 @@ def reference_greedy_fit(g, obj, cfg=None):
                      iterations=sum(restart_iterations),
                      restart_iterations=restart_iterations,
                      degenerate=False, objective=obj)
+
+
+def reference_exhaustive_fit(g, obj, min_group=2):
+    """``exhaustive_fit`` as one row per label vector (N <= 16)."""
+    n = g.n_nodes
+    if n > 16:
+        raise ValueError("exhaustive search is limited to 16 nodes")
+    if min_group < 2:
+        raise ValueError("min_group must be >= 2")
+    if n < 2 * min_group:
+        raise ValueError("no valid partition at this min_group")
+    if obj not in _Z_FAMILY and g.n_edges == 0:
+        raise ValueError("modularity objectives need a non-empty graph")
+
+    shifts = np.arange(n - 1, -1, -1)
+    vecs = ((np.arange(1 << n, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.int8)
+    m = vecs.sum(axis=1, dtype=np.int64)
+    valid = (m >= min_group) & (m <= n - min_group)
+
+    r1 = np.zeros(1 << n, dtype=np.int64)
+    r2 = np.zeros(1 << n, dtype=np.int64)
+    for u, v in g.edges:
+        a = vecs[:, u]
+        b = vecs[:, v]
+        r1 += a & b
+        r2 += (1 - a) & (1 - b)
+
+    degenerate = False
+    if obj in _Z_FAMILY:
+        tables = moment_arrays(graph_constants(g))
+        coef, scales = _z_coefficients([obj], tables, n, min_group)
+        vals = _z_at(coef, scales[0], m + 1, r1, r2)
+        degenerate = _all_degenerate(obj, tables, n, min_group)
+    else:
+        vals = _q_values(obj is Objective.QD_MAX, r1, r2,
+                         *_degree_group_sums(g, vecs),
+                         float(g.n_edges), g.directed)
+    vals = np.where(valid, vals, -np.inf)
+    b = int(np.argmax(vals))
+    return FitResult(labels=Partition(vecs[b]), value=float(vals[b]),
+                     restart_values=[float(vals[b])], iterations=0,
+                     degenerate=degenerate, objective=obj)

@@ -259,6 +259,20 @@ def test_usage_and_format_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("method", ["auto", "zw-max", "modularity"])
+def test_detect_four_node_graph_is_too_small(tmp_path, method, capsys):
+    """Four nodes pass the loader but leave the search no valid flip: exit
+    3, graph too small, before anything is fitted."""
+    cyc = tmp_path / "c4.edges"
+    cyc.write_text("a b\nb c\nc d\nd a\n")
+    out = tmp_path / "report.json"
+    assert main(["detect", "--edges", str(cyc), "--undirected",
+                 "--method", method, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "graph too small: 4 distinct nodes" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["non-utf8", "directory"])
 def test_unreadable_input_files_exit_3(tmp_path, two_clique_file, kind, capsys):
     bad = tmp_path / "bad"

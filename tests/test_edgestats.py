@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicomm.edgestats import (Partition, block_counts, flip_delta,
+from bicomm.edgestats import (Partition, as_labels, block_counts, flip_delta,
                               modularity_q, moment_arrays, perm_null_moments,
                               q_d, r_d, r_w, within_counts, z_d, z_w)
 from bicomm.graph import Graph, graph_constants
@@ -238,3 +238,70 @@ def test_block_counts_match_dense_recount(case):
     assert counts == dense
     assert sum(counts) == g.n_edges
     assert within_counts(g, lab) == (counts[0], counts[3])
+
+
+# ---- one label check per Z statistic -----------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_graphs(60), st.sampled_from(["int8", "int64", "bool", "float",
+                                           "list", "partition"]))
+def test_z_equals_standardized_counts(case, form):
+    """z_w and z_d are (R - mu) / sigma with R from r_w / r_d and the
+    moments from perm_null_moments, bit for bit, whatever form the labels
+    come in; 0.0 where the variance is degenerate."""
+    g, rng = case
+    n = g.n_nodes
+    c = graph_constants(g)
+    lab = random_labels(rng, n)
+    x = {"int8": lab, "int64": lab.astype(np.int64), "bool": lab == 1,
+         "float": lab.astype(np.float64), "list": lab.tolist(),
+         "partition": Partition(lab)}[form]
+    m_x = int(lab.sum())
+    mom = perm_null_moments(c, m_x, n - m_x)
+    want_w = 0.0 if mom.degenerate_w else (r_w(g, lab) - mom.mu_w) / mom.sigma_w
+    want_d = 0.0 if mom.degenerate_d else (r_d(g, lab) - mom.mu_d) / mom.sigma_d
+    for got, want in ((z_w(g, x, c), want_w), (z_w(g, x), want_w),
+                      (z_d(g, x, c), want_d), (z_d(g, x), want_d)):
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+
+def test_z_error_cases():
+    g = cycle4()
+    other = graph_constants(Graph(5, [(0, 1)], directed=False))
+    for z in (z_w, z_d):
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            z(g, [1, 1, 0, 2])
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            z(g, [1.0, 1.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="labels must be 0/1"):
+            z(g, np.array([1.0, 1.0, 0.0, np.nan]))
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            z(g, [[1, 1], [0, 0]])
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            z(g, [])
+        with pytest.raises(ValueError,
+                           match="labels length 5 != number of nodes 4"):
+            z(g, [1, 1, 0, 0, 0])
+        with pytest.raises(ValueError, match="both groups of size >= 2"):
+            z(g, [1, 0, 0, 0])
+        with pytest.raises(ValueError, match="both groups of size >= 2"):
+            z(g, [1, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"m_x \+ n_x = 4 != N = 5"):
+            z(g, [1, 1, 0, 0], other)
+
+
+def test_as_labels_returns_a_read_only_copy():
+    raw = np.array([1, 0, 1, 0], dtype=np.int8)
+    lab = as_labels(raw, 4)
+    assert lab.dtype == np.int8 and not lab.flags.writeable
+    raw[0] = 0
+    assert lab.tolist() == [1, 0, 1, 0]
+    assert raw.flags.writeable
+    assert as_labels([True, False, True]).tolist() == [1, 0, 1]
+    part = Partition([1, 1, 0])
+    assert as_labels(part) is part.labels
+    with pytest.raises(ValueError, match="labels length 3 != number of nodes 4"):
+        as_labels(part, 4)
+    with pytest.raises(ValueError, match="labels must be 0/1"):
+        as_labels(np.array(["0", "1"]))

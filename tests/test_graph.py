@@ -159,3 +159,24 @@ def test_load_too_small():
 def test_load_first_seen_token_order():
     g = load_edge_list(["x y", "y z", "z w", "w q"], directed=False)
     assert g.node_names == ("x", "y", "z", "w", "q")
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                     .filter(lambda r: r[0] != r[1]), min_size=4, max_size=80),
+       directed=st.booleans())
+def test_load_dedup_equals_unique_rows(rows, directed):
+    """The loader's key dedupe keeps exactly the distinct rows of
+    ``np.unique(e, axis=0)`` and counts the rest as duplicates."""
+    lines = [f"n{u} n{v}" for u, v in rows]
+    names = list(dict.fromkeys(t for ln in lines for t in ln.split()))
+    if len(names) < 4:
+        return
+    g = load_edge_list(lines, directed)
+    e = np.array([[names.index(t) for t in ln.split()] for ln in lines])
+    if not directed:
+        e = np.sort(e, axis=1)
+    want = np.unique(e, axis=0)
+    assert np.array_equal(g.edges, want)
+    assert g.duplicate_edges == len(rows) - want.shape[0]
+    assert g.node_names == tuple(names)

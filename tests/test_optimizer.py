@@ -112,7 +112,7 @@ def test_degenerate_everywhere_flagged():
 
 
 def test_exhaustive_limits_and_ties():
-    g = Graph(17, [(0, 1)], directed=False)
+    g = Graph(21, [(0, 1)], directed=False)
     with pytest.raises(ValueError):
         exhaustive_fit(g, Objective.ZW_MAX)
     # complement ties resolve to the lexicographically smaller vector

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicomm.edgestats import perm_null_moments, within_counts
 from bicomm.genmodels import ConnectivityMatrix, sample_sbm
@@ -52,6 +54,28 @@ def test_closed_forms_match_enumeration():
                 for closed, exact in ((mom.mu_w, mean_rw), (mom.var_w, var_rw),
                                       (mom.mu_d, mean_rd), (mom.var_d, var_rd)):
                     assert abs(closed - exact) <= 1e-9 * (1 + abs(exact))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(4, 9), directed=st.booleans(),
+       density=st.sampled_from([0.0, 0.15, 0.4, 0.7, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_enumeration_random(n, directed, density, seed):
+    """perm_null_moments against a full enumeration of the assignments with
+    m_x ones, for every m_x, on random graphs up to 9 nodes; degenerate
+    variances are the ones the enumeration finds (near) zero."""
+    g = random_graph(np.random.default_rng(seed), n, directed, p=density)
+    c = graph_constants(g)
+    for m_x in range(2, n - 1):
+        mom = perm_null_moments(c, m_x, n - m_x)
+        mean_rw, var_rw, mean_rd, var_rd = enumerate_null_moments(g, m_x)
+        scale = 1.0 + c.g_size * c.g_size
+        for closed, exact in ((mom.mu_w, mean_rw), (mom.mu_d, mean_rd),
+                              (mom.var_w, var_rw), (mom.var_d, var_rd)):
+            assert abs(closed - exact) <= 1e-9 * scale
+        for degenerate, exact in ((mom.degenerate_w, var_rw),
+                                  (mom.degenerate_d, var_rd)):
+            assert degenerate == (exact < 1e-9 * scale)
 
 
 def unfactored_centered(p, m, n, d1, d2, directed):
