@@ -232,9 +232,17 @@ def load_edge_list(source, directed) -> Graph:
     e = np.asarray(rows, dtype=np.int64)
     if not directed:
         e = np.sort(e, axis=1)
-    # one int64 key per row, u N + v: sorted keys are the rows in lex order
+    # One int64 key per row, u N + v; sorted keys are the rows in lex order.
+    # Sorted and masked in place: np.unique may hash, which is slower and
+    # takes more memory here.
     n = len(names)
-    keys = np.unique(e[:, 0] * n + e[:, 1])
+    keys = e[:, 0] * n
+    keys += e[:, 1]
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
     dupes = e.shape[0] - keys.size
-    return Graph(n, np.column_stack(np.divmod(keys, n)), directed,
-                 node_names=names, duplicate_edges=dupes)
+    e = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(e[:, 0], e[:, 1]))
+    return Graph(n, e, directed, node_names=names, duplicate_edges=dupes)
