@@ -78,7 +78,9 @@ def wide_graphs():
             yield random_graph(rng, n, directed, 0.25)
 
 
-@pytest.mark.parametrize("g", list(wide_graphs()), ids=repr)
+@pytest.mark.parametrize(
+    "g", list(wide_graphs()),
+    ids=lambda g: f"n{g.n_nodes}-{'d' if g.directed else 'u'}")
 def test_exhaustive_above_sixteen_nodes(g):
     """Past the reference's reach: the global optimum is at least what
     greedy search with 50 restarts finds, and it is the statistic of its
