@@ -60,14 +60,14 @@ class ThetaSpec:
             if self.param is not None:
                 raise ValueError("const takes no parameter")
         elif self.kind == "pareto":
-            if self.param is None or self.param <= 1.0:
-                raise ValueError("pareto shape must be > 1 (finite mean)")
+            if self.param is None or not 1.0 < self.param < np.inf:
+                raise ValueError("pareto shape must be finite and > 1")
         elif self.kind == "uniform":
             if self.param is None or not 0.0 < self.param <= 1.0:
                 raise ValueError("uniform low endpoint must be in (0, 1]")
         elif self.kind == "exp":
-            if self.param is None or self.param <= 1.0:
-                raise ValueError("exp rate must be > 1 (positivity)")
+            if self.param is None or not 1.0 < self.param < np.inf:
+                raise ValueError("exp rate must be finite and > 1")
         else:
             raise ValueError(f"unknown theta kind {self.kind!r}")
 
@@ -143,12 +143,13 @@ def _check_size(m, n):
 def _planted_probs(p: ConnectivityMatrix, m, n, thetas):
     blocks = np.concatenate([np.zeros(m, dtype=np.intp),
                              np.ones(n, dtype=np.intp)])
-    pm = p.as_array()
-    base = pm[blocks[:, None], blocks[None, :]]
-    probs = base * thetas[:, None] * thetas[None, :]
+    # (P_ab * theta_i) * theta_j, with one N x N array
+    probs = (p.as_array()[blocks] * thetas[:, None])[:, blocks]
+    probs *= thetas
     np.fill_diagonal(probs, 0.0)
     clamped = int(np.count_nonzero(probs > 1.0))
-    return np.minimum(probs, 1.0), clamped
+    np.minimum(probs, 1.0, out=probs)
+    return probs, clamped
 
 
 def _sample_planted(p, m, n, thetas, directed, rng):
@@ -160,17 +161,13 @@ def _sample_planted(p, m, n, thetas, directed, rng):
         raise ValueError("undirected sampling needs p12 == p21")
     total = m + n
     probs, clamped = _planted_probs(p, m, n, thetas)
-    u = rng.random((total, total))
-    if directed:
-        adj = u < probs
-        np.fill_diagonal(adj, False)
-        edges = np.argwhere(adj)
-    else:
-        iu = np.triu_indices(total, k=1)
-        hit = u[iu] < probs[iu]
-        edges = np.column_stack([iu[0][hit], iu[1][hit]])
+    # one dense draw; the zero diagonal of probs never yields a self-loop
+    adj = rng.random((total, total)) < probs
+    if not directed:
+        adj = np.triu(adj)
         # clamping was counted over ordered pairs; undirected pairs appear once
         clamped //= 2
+    edges = np.argwhere(adj)
     truth = Partition(np.concatenate([np.ones(m, dtype=np.int8),
                                       np.zeros(n, dtype=np.int8)]))
     return PlantedGraph(graph=Graph(total, edges, directed),

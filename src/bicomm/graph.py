@@ -3,7 +3,6 @@ permutation-null moment formulas."""
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -14,12 +13,33 @@ class GraphFormatError(ValueError):
     """Raised when an edge-list input cannot be parsed into a valid graph."""
 
 
+def _edge_keys(e, n, directed):
+    """Sorted int64 keys u n + v of the rows of an (E, 2) edge array on ``n``
+    nodes; an unordered pair is keyed min(u, v) n + max(u, v).  Sorted keys
+    are the oriented rows in lexicographic order: the stored edge order."""
+    u, v = e[:, 0], e[:, 1]
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    keys = u * n
+    keys += v
+    keys.sort()
+    return keys
+
+
+def _keyed_edges(keys, n):
+    """The (E, 2) edge rows of keys made by ``_edge_keys``."""
+    e = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(e[:, 0], e[:, 1]))
+    return e
+
+
 class Graph:
     """Simple directed or undirected graph on nodes ``0..n_nodes-1``.
 
     Edges are stored once each: as ordered pairs ``(i, j)`` when directed, as
-    unordered pairs normalized to ``i < j`` when undirected.  Self-loops and
-    duplicate edges are rejected.
+    unordered pairs normalized to ``i < j`` when undirected, sorted by the
+    key ``i * n_nodes + j`` (so the rows are in lexicographic order).
+    Self-loops and duplicate edges are rejected.
 
     Parameters
     ----------
@@ -54,15 +74,10 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if e.size and np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
-        if not directed and e.size:
-            # canonical orientation for unordered pairs
-            e = np.sort(e, axis=1)
-        if e.size:
-            order = np.lexsort((e[:, 1], e[:, 0]))
-            e = e[order]
-            same = np.all(e[1:] == e[:-1], axis=1)
-            if np.any(same):
-                raise ValueError("duplicate edges are not allowed")
+        keys = _edge_keys(e, n_nodes, directed)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+        e = _keyed_edges(keys, n_nodes)
         e.setflags(write=False)
 
         self.n_nodes = n_nodes
@@ -160,9 +175,7 @@ def graph_constants(g: Graph) -> GraphConstants:
     m = int(g.n_edges)
     if g.directed:
         # a reciprocal pair is the one unordered key that two arcs share
-        u = g.edges[:, 0]
-        v = g.edges[:, 1]
-        keys = np.sort(np.minimum(u, v) * g.n_nodes + np.maximum(u, v))
+        keys = _edge_keys(g.edges, g.n_nodes, directed=False)
         q1 = 2 * int(np.count_nonzero(keys[1:] == keys[:-1]))
         ko = g.k_out.astype(np.int64)
         ki = g.k_in.astype(np.int64)
@@ -182,9 +195,7 @@ def _iter_lines(source):
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             yield from fh
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        yield from source
-    else:  # already an iterable of lines
+    else:  # a file object or any other iterable of lines
         yield from source
 
 
@@ -229,20 +240,10 @@ def load_edge_list(source, directed) -> Graph:
         raise GraphFormatError(
             f"graph too small: {len(names)} distinct nodes (need at least 4)")
 
-    e = np.asarray(rows, dtype=np.int64)
-    if not directed:
-        e = np.sort(e, axis=1)
-    # One int64 key per row, u N + v; sorted keys are the rows in lex order.
-    # Sorted and masked in place: np.unique may hash, which is slower and
-    # takes more memory here.
+    # repeats are adjacent keys; np.unique may hash, slower and larger here
     n = len(names)
-    keys = e[:, 0] * n
-    keys += e[:, 1]
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    dupes = e.shape[0] - keys.size
-    e = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, n, out=(e[:, 0], e[:, 1]))
+    keys = _edge_keys(np.asarray(rows, dtype=np.int64), n, directed)
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    dupes = keys.size - int(np.count_nonzero(first))
+    e = _keyed_edges(keys[first], n)
     return Graph(n, e, directed, node_names=names, duplicate_edges=dupes)

@@ -11,7 +11,7 @@ import numpy as np
 from .edgestats import (Partition, _degree_group_sums, _q_values, as_labels,
                         modularity_q, moment_arrays, q_d, within_counts, z_d,
                         z_w)
-from .graph import Graph, graph_constants
+from .graph import Graph, _edge_keys, graph_constants
 
 _IMPROVE_EPS = 1e-12  # strict improvement threshold: no cycling on plateaus
 _CHECK_EVERY = 100    # incremental bookkeeping audited against full recounts
@@ -432,7 +432,7 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     h = n // 2
     xh, xl = _all_labelings(h), _all_labelings(n - h)
     u = np.zeros((n, n), dtype=np.int64)
-    np.add.at(u, (g.edges.min(axis=1), g.edges.max(axis=1)), 1)
+    np.add.at(u.reshape(-1), _edge_keys(g.edges, n, directed=False), 1)
     # group 1's size, out-, in- and incident-edge totals
     w = np.stack([np.ones(n, dtype=np.int64), g.k_out, g.k_in,
                   u.sum(axis=0) + u.sum(axis=1)], axis=1)

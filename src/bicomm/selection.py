@@ -128,10 +128,11 @@ def _active_candidates(candidates):
 
 
 def _argmax_in_order(scores):
+    # the first candidate stands even at -inf (a huge finite lambda gives it)
     selected = None
     best = -np.inf
     for kind in CANDIDATE_KINDS:
-        if kind in scores and scores[kind] > best:
+        if kind in scores and (selected is None or scores[kind] > best):
             best = scores[kind]
             selected = kind
     tied = sum(1 for v in scores.values() if v == best) > 1
@@ -183,7 +184,7 @@ def _pair_layout(g):
     """Flat pair index of the likelihood sum: row-major over ordered pairs
     i != j (directed) or pairs i < j (undirected).  Returns the first index
     of each row (N + 1 offsets) and the index of every edge, ascending
-    because ``Graph.edges`` is lexsorted."""
+    because ``Graph.edges`` is sorted by the key u N + v."""
     n = g.n_nodes
     u = g.edges[:, 0]
     v = g.edges[:, 1]
@@ -266,8 +267,8 @@ def penalized_loglik(g: Graph, x, lam: float = DEFAULT_LAMBDA,
     summed in blocks of at most 65,536 terms, so memory is O(N + |E|) plus
     one block and no N x N array is formed.  Time is still O(N^2).
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     if kind not in CANDIDATE_KINDS:
         raise ValueError(f"unknown candidate kind {kind!r}")
     value, _ = _penalized_details(g, x, lam, kind)
@@ -278,8 +279,8 @@ def penalized_select(g: Graph, candidates: dict[str, FitResult],
                      lam: float = DEFAULT_LAMBDA) -> SelectionOutcome:
     """Evaluate the penalized log-likelihood of each candidate (each with the
     penalty form matching its kind) and keep the argmax."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     fits, excluded = _active_candidates(candidates)
     scores = {}
     clamp_total = 0

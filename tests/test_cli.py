@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bicomm.cli import main
 from bicomm.edgestats import Partition, z_d, z_w
 from bicomm.evaluation import misclassification_rate
+from bicomm.genmodels import ConnectivityMatrix, ThetaSpec, sample_dcsbm
 from bicomm.graph import load_edge_list
 
 
@@ -242,6 +243,26 @@ def test_simulate_parameter_validation(capsys):
         huge = [arg if arg != "6" else "1000000000000" for arg in argv]
         assert main(huge) == 2
         assert "limit of 10000 nodes" in capsys.readouterr().err
+
+
+def test_lambda_must_be_finite(tmp_path, capsys):
+    # heterogeneous multipliers, so every candidate pays a penalty
+    pg = sample_dcsbm(ConnectivityMatrix(0.5, 0.1, 0.1, 0.5), 10, 10,
+                      ThetaSpec.pareto(3), False, np.random.default_rng(0))
+    path = tmp_path / "het.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in pg.graph.edges.tolist()))
+    detect = ["detect", "--edges", str(path), "--undirected", "--restarts", "3"]
+    for lam in ("nan", "inf"):
+        assert main(detect + ["--lambda", lam]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert main(SIM_ARGS + ["--lambda", lam]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+    # finite, but every penalty overflows: the first candidate stands, tied
+    out = tmp_path / "report.json"
+    assert main(detect + ["--lambda", "1e308", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["scores"]["pen_loglik"].values()) == {-np.inf}
+    assert (report["selected"], report["tie"]) == ("zw-max", True)
 
 
 def test_usage_and_format_exit_codes(tmp_path, capsys):

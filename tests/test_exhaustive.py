@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomm.edgestats import modularity_q, q_d, z_d, z_w
+from bicomm.genmodels import ConnectivityMatrix, sample_sbm
 from bicomm.graph import Graph
 from bicomm.optimizer import (_Z_FAMILY, FitConfig, Objective, exhaustive_fit,
-                              greedy_fit)
+                              fit_all_candidates, greedy_fit)
 from reference_search import reference_exhaustive_fit
 
 
@@ -99,6 +100,30 @@ def test_exhaustive_above_sixteen_nodes(g):
             q = modularity_q if obj is Objective.Q_MAX else q_d
             assert ex.value == pytest.approx(q(g, ex.labels), rel=1e-12,
                                               abs=1e-12)
+
+
+# The block matrices of acceptance criterion 9, one per mixing type.
+MIXING = {"assortative": [[0.5, 0.3], [0.3, 0.5]],
+          "disassortative": [[0.3, 0.5], [0.5, 0.3]],
+          "core-periphery": [[0.5, 0.3], [0.3, 0.1]]}
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["u", "d"])
+@pytest.mark.parametrize("mixing", list(MIXING))
+def test_greedy_reaches_the_optimum_on_planted_graphs(mixing, directed):
+    """On planted SBM graphs at N 17-20, where local optima are likelier,
+    all three candidates of ``fit_all_candidates`` reach the exhaustive
+    optimum bit for bit.  With 50 restarts; 20 leave 3 of these 108 fits
+    at a single-flip local optimum."""
+    p = ConnectivityMatrix.from_rows(MIXING[mixing])
+    for seed in range(6):
+        n = 17 + seed % 4
+        g = sample_sbm(p, n // 2, n - n // 2, directed,
+                       np.random.default_rng([n, seed])).graph
+        fits = fit_all_candidates(g, FitConfig(restarts=50, seed=seed))
+        for kind, fit in fits.items():
+            best = exhaustive_fit(g, Objective(kind)).value
+            assert float(fit.value).hex() == float(best).hex(), (seed, kind)
 
 
 # Measured on the graphs below: 3.9 MB for the Z objectives and 6.8 MB for

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bicomm.cli import main
 from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, _check_size,
                               _sample_planted, replicate_rngs, sample_dcsbm,
                               sample_sbm, sample_theta)
+from reference_samplers import reference_sample_planted
 
 
 def test_connectivity_validation():
@@ -31,6 +35,19 @@ def test_theta_spec_domains():
         ThetaSpec.parse("pareto")
     with pytest.raises(ValueError):
         ThetaSpec.parse("weird:2")
+
+
+@pytest.mark.parametrize("kind", ["pareto", "uniform", "exp"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_theta_spec_rejects_non_finite_parameters(kind, value, capsys):
+    with pytest.raises(ValueError):
+        ThetaSpec.parse(f"{kind}:{value}")
+    with pytest.raises(ValueError):
+        ThetaSpec(kind, float(value))
+    argv = ["simulate", "--model", "dcsbm", "--theta", f"{kind}:{value}",
+            "--m", "6", "--n", "6", "--reps", "1", "--restarts", "2"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_theta_laws_have_mean_one():
@@ -117,6 +134,61 @@ def test_dcsbm_degrees_track_theta():
         degs += pg.graph.degrees
     corr = np.corrcoef(thetas, degs)[0, 1]
     assert corr > 0.98
+
+
+# (p11, p12, p21, p22); the last is asymmetric, so it is drawn directed only
+MATRICES = [(0.9, 0.4, 0.4, 0.7), (0.3, 0.3, 0.3, 0.3), (0.1, 0.8, 0.5, 0.2)]
+THETAS = [None, "pareto:1.5", "exp:1.2", "uniform:0.1"]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("theta", THETAS)
+def test_samplers_match_the_reference_extraction(directed, theta):
+    """Edges, multipliers and clamp counts equal the former per-direction
+    extraction bit for bit, for the SBM (theta None) and the DCSBM."""
+    clamped = 0
+    for rows in MATRICES:
+        p = ConnectivityMatrix(*rows)
+        if not directed and not p.symmetric:
+            continue
+        for seed in range(8):
+            m, n = 2 + seed, 30 - 3 * seed
+            rng = np.random.default_rng([seed, 1])
+            ref = np.random.default_rng([seed, 1])
+            if theta is None:
+                got = sample_sbm(p, m, n, directed, rng)
+                thetas = np.ones(m + n)
+            else:
+                spec = ThetaSpec.parse(theta)
+                got = sample_dcsbm(p, m, n, spec, directed, rng)
+                thetas = sample_theta(spec, m + n, ref)
+            want = reference_sample_planted(p, m, n, thetas, directed, ref)
+            assert got.graph.edges.tobytes() == want.graph.edges.tobytes()
+            assert got.graph.edges.shape == want.graph.edges.shape
+            assert got.thetas.tobytes() == want.thetas.tobytes()
+            assert got.clamped_pairs == want.clamped_pairs
+            assert got.truth == want.truth
+            assert rng.bit_generator.state == ref.bit_generator.state
+            clamped += got.clamped_pairs
+    if theta in ("pareto:1.5", "exp:1.2"):
+        assert clamped > 0
+
+
+# Measured: 68 MB at N = 2000 with one (N, N) draw; the former
+# triu_indices extraction peaked at 130 MB.
+SAMPLE_PEAK_MB_AT_2000 = 100
+
+
+def test_undirected_draw_memory_at_two_thousand_nodes():
+    p = ConnectivityMatrix(0.05, 0.01, 0.01, 0.05)
+    tracemalloc.start()
+    try:
+        sample_dcsbm(p, 1000, 1000, ThetaSpec.pareto(3), False,
+                     np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < SAMPLE_PEAK_MB_AT_2000, peak
 
 
 def test_samplers_refuse_sizes_past_the_limit():

@@ -180,3 +180,31 @@ def test_load_dedup_equals_unique_rows(rows, directed):
     assert np.array_equal(g.edges, want)
     assert g.duplicate_edges == len(rows) - want.shape[0]
     assert g.node_names == tuple(names)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), data=st.data(), directed=st.booleans(),
+       mess=st.sampled_from(["shuffle", "reverse", "duplicate"]))
+def test_graph_stores_the_unique_oriented_rows(n, data, directed, mess):
+    """Rows given shuffled, reversed or repeated are stored as
+    ``np.unique`` of the oriented rows (unordered pairs as i < j), or
+    rejected when two rows name the same edge."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rows = data.draw(st.lists(st.sampled_from(pairs), max_size=40, unique=True))
+    if mess == "shuffle":
+        rows = data.draw(st.permutations(rows))
+    elif mess == "reverse":
+        rows = [(v, u) for u, v in rows]
+    else:
+        rows = rows + rows[:1]
+    e = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    oriented = e if directed else np.sort(e, axis=1)
+    want = np.unique(oriented, axis=0).reshape(-1, 2)
+    if want.shape[0] < e.shape[0]:
+        with pytest.raises(ValueError, match="duplicate"):
+            Graph(n, rows, directed)
+        return
+    g = Graph(n, rows, directed)
+    assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+    assert np.array_equal(g.edges, want)
+    assert not g.edges.flags.writeable

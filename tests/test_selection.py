@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from bicomm.edgestats import within_counts
-from bicomm.genmodels import ConnectivityMatrix, sample_sbm
+from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, sample_dcsbm,
+                              sample_sbm)
 from bicomm.graph import Graph
 from bicomm.optimizer import FitResult, fit_all_candidates, FitConfig
-from bicomm.selection import (BlockEstimates, DegenerateError, gamma_sq,
+from bicomm.selection import (BlockEstimates, DegenerateError,
+                              _argmax_in_order, gamma_sq,
                               gamma_tau_select, estimate_block_probs,
                               penalized_loglik, penalized_select, tau_sq,
                               theta_mle)
@@ -155,6 +157,31 @@ def test_penalized_loglik_argument_validation():
         penalized_loglik(g, [1, 1, 1, 0, 0, 0], lam=-0.1)
     with pytest.raises(ValueError):
         penalized_loglik(g, [1, 1, 1, 0, 0, 0], kind="modularity")
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_lambda_is_rejected(lam):
+    g = two_triangles()
+    with pytest.raises(ValueError, match="finite"):
+        penalized_loglik(g, [1, 1, 1, 0, 0, 0], lam=lam)
+    same = make_fit([1, 1, 1, 0, 0, 0])
+    with pytest.raises(ValueError, match="finite"):
+        penalized_select(g, {k: same for k in ("zw-max", "zw-min", "zd")},
+                         lam=lam)
+
+
+def test_overflowing_lambda_keeps_the_first_candidate():
+    # heterogeneous multipliers: a finite lambda this large overflows every
+    # penalty to inf, so every score is -inf
+    pg = sample_dcsbm(ConnectivityMatrix(0.5, 0.1, 0.1, 0.5), 10, 10,
+                      ThetaSpec.pareto(3), False, np.random.default_rng(0))
+    cands = fit_all_candidates(pg.graph, FitConfig(restarts=3, seed=0))
+    out = penalized_select(pg.graph, cands, lam=1e308)
+    assert set(out.scores.pen_loglik.values()) == {-np.inf}
+    assert (out.selected, out.tied) == ("zw-max", True)
+    assert _argmax_in_order({"zd": -np.inf, "zw-min": -np.inf}) == ("zw-min", True)
+    assert _argmax_in_order({"zd": -np.inf}) == ("zd", False)
+    assert _argmax_in_order({"zd": -np.inf, "zw-min": -1.0}) == ("zw-min", False)
 
 
 def test_truth_beats_random_splits_on_cliques():
