@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,8 +25,8 @@ from .genmodels import (ConnectivityMatrix, ThetaSpec, replicate_rngs,
                         sample_dcsbm, sample_sbm)
 from .graph import GraphFormatError, graph_constants, load_edge_list
 from .optimizer import FitConfig, Objective, fit_all_candidates, greedy_fit
-from .selection import (DEFAULT_LAMBDA, DegenerateError, gamma_tau_select,
-                        penalized_select)
+from .selection import (DEFAULT_LAMBDA, DegenerateError, check_lambda,
+                        gamma_tau_select, penalized_select)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,8 +78,19 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float, such as a score that overflowed to
+    -inf, replaced by None, so the report is strict JSON (null)."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json_dump(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_finite(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _candidate_payload(g, c, fit):
@@ -309,6 +321,13 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+def _lambda_arg(text):
+    try:  # checked while parsing: a bad lambda stops before any load or fit
+        return check_lambda(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_directedness(cmd):
     grp = cmd.add_mutually_exclusive_group(required=True)
     grp.add_argument("--directed", dest="directed", action="store_true",
@@ -333,7 +352,8 @@ def build_parser():
     d.add_argument("--criterion", default="penalized",
                    choices=["penalized", "gamma-tau"],
                    help="mixing-type criterion used when --method auto")
-    d.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+    d.add_argument("--lambda", dest="lam", type=_lambda_arg,
+                   default=DEFAULT_LAMBDA,
                    help="penalized-likelihood tuning parameter")
     d.add_argument("--restarts", type=int, default=20)
     d.add_argument("--seed", type=int, default=0)
@@ -354,7 +374,8 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--criterion", default="penalized",
                    choices=["penalized", "gamma-tau"])
-    s.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
+    s.add_argument("--lambda", dest="lam", type=_lambda_arg,
+                   default=DEFAULT_LAMBDA)
     s.add_argument("--restarts", type=int, default=20)
     s.add_argument("--jobs", type=int, default=1,
                    help="replicates run concurrently; rows stay ordered")

@@ -215,35 +215,31 @@ def load_edge_list(source, directed) -> Graph:
         number), or when the input has fewer than 4 distinct nodes.
     """
     index = {}
-    names = []
-    rows = []
+    ends = []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
+        parts = raw.replace(",", " ").split()
+        if ((not parts or parts[0][0] == "#")
+                and raw.lstrip()[:1] in ("", "#")):
+            continue  # blank or comment; ",#a b" is an edge
         if len(parts) != 2:
             raise GraphFormatError(
                 f"line {lineno}: expected two node tokens, got {len(parts)}")
         u_tok, v_tok = parts
         if u_tok == v_tok:
             raise GraphFormatError(f"line {lineno}: self-loop on {u_tok!r}")
-        pair = []
-        for tok in (u_tok, v_tok):
-            if tok not in index:
-                index[tok] = len(names)
-                names.append(tok)
-            pair.append(index[tok])
-        rows.append(pair)
+        ends.append(index.setdefault(u_tok, len(index)))
+        ends.append(index.setdefault(v_tok, len(index)))
 
-    if len(names) < 4:
+    n = len(index)
+    if n < 4:
         raise GraphFormatError(
-            f"graph too small: {len(names)} distinct nodes (need at least 4)")
+            f"graph too small: {n} distinct nodes (need at least 4)")
 
     # repeats are adjacent keys; np.unique may hash, slower and larger here
-    n = len(names)
-    keys = _edge_keys(np.asarray(rows, dtype=np.int64), n, directed)
+    keys = _edge_keys(np.array(ends, dtype=np.int64).reshape(-1, 2), n,
+                      directed)
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     dupes = keys.size - int(np.count_nonzero(first))
     e = _keyed_edges(keys[first], n)
-    return Graph(n, e, directed, node_names=names, duplicate_edges=dupes)
+    return Graph(n, e, directed, node_names=list(index),
+                 duplicate_edges=dupes)

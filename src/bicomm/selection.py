@@ -3,11 +3,11 @@ gamma-tau signal criterion and the penalized block-likelihood criterion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .edgestats import as_labels, block_counts, within_counts
+from .edgestats import Partition, _block_counts, as_labels
 from .genmodels import ConnectivityMatrix
 from .graph import Graph
 from .optimizer import CANDIDATE_KINDS, FitResult
@@ -69,11 +69,15 @@ def estimate_block_probs(g: Graph, x) -> BlockEstimates:
     counts over available pairs (ordered pairs for directed graphs,
     unordered for undirected)."""
     lab = as_labels(x, g.n_nodes)
+    return _block_estimates(g, lab, _block_counts(g, lab))
+
+
+def _block_estimates(g, lab, counts):
     m_x = int(lab.sum())
     n_x = lab.size - m_x
     if min(m_x, n_x) < 2:
         raise ValueError("both groups need at least 2 nodes")
-    r1, e12, e21, r2 = block_counts(g, lab)
+    r1, e12, e21, r2 = counts
     if g.directed:
         p11 = r1 / (m_x * (m_x - 1))
         p22 = r2 / (n_x * (n_x - 1))
@@ -109,6 +113,13 @@ def tau_sq(est: BlockEstimates) -> float:
         return 0.0
     num = p.p11 + p.p22 - p.p12 - p.p21
     return num * num / pmax
+
+
+def check_lambda(lam: float) -> float:
+    """``lam`` itself if it is a finite penalty weight >= 0."""
+    if not 0 <= lam < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    return lam
 
 
 def _active_candidates(candidates):
@@ -195,53 +206,93 @@ def _pair_layout(g):
     return off, off[u] + v - u - 1
 
 
-def _penalized_details(g, x, lam, kind):
+def _row_pairs(slab, r0, directed):
+    """The pair terms of rows r0, r0 + 1, ... in row-major order, kept from
+    their (rows, columns) slab: every column but the row's own (directed,
+    columns 0..N-1) or the columns past it (undirected, from r0 + 1)."""
+    rows, width = slab.shape
+    if not directed:
+        return slab[np.arange(width) >= np.arange(rows)[:, None]]
+    # row k's own column is at flat r0 + k (N + 1): copy the runs between
+    flat = slab.ravel()
+    out = np.empty(flat.size - rows)
+    mid = (rows - 1) * width
+    out[:r0] = flat[:r0]
+    out[r0:r0 + mid].reshape(-1, width)[...] = (
+        flat[r0 + 1:r0 + mid + rows].reshape(-1, width + 1)[:, :width])
+    out[r0 + mid:] = flat[r0 + mid + rows:]
+    return out
+
+
+def _pair_count(flag, cls, directed):
+    """How many pairs of the likelihood sum (ordered i != j, or i < j) have
+    their class pair (cls[i], cls[j]) set in the (C, C) boolean ``flag``."""
+    cnt = np.bincount(cls, minlength=flag.shape[0])
+    ordered = int(cnt @ flag @ cnt - cnt @ flag.diagonal())
+    if directed:
+        return ordered
+    # i < j reads flag[cls[i], cls[j]] alone; a class pair c, d set one way
+    # round adds its K pairs i < j and takes off the n_c n_d - K others
+    for c, d in np.argwhere(flag & ~flag.T):
+        k = np.searchsorted(np.flatnonzero(cls == c), np.flatnonzero(cls == d))
+        ordered += 2 * int(k.sum()) - int(cnt[c] * cnt[d])
+    return ordered // 2
+
+
+def _pairwise_sum(leaf_sum, start, count):
+    """``leaf_sum`` over [start, start + count), split where np.sum splits a
+    contiguous float64 vector of length count, so the total equals one
+    np.sum over all terms bit for bit."""
+    if count <= _LEAF:
+        return leaf_sum(start, start + count)
+    half = count // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf_sum, start, half)
+            + _pairwise_sum(leaf_sum, start + half, count - half))
+
+
+def _penalized_details(g, x, lam, kind, layout=None):
+    """(value, clamp events); ``layout`` is ``_pair_layout(g)`` if given."""
+    x = x if isinstance(x, Partition) else Partition(x)  # checked once here
     lab = as_labels(x, g.n_nodes)
-    est = estimate_block_probs(g, lab)
-    th = theta_mle(g, lab)
-    theta = th.theta_hat
-    blocks = np.where(lab == 1, 0, 1)
-    prow = est.p_hat.as_array()[:, blocks]
-    n = g.n_nodes
-    off, keys = _pair_layout(g)
-    clamps = 0
+    counts = _block_counts(g, lab)
+    est = _block_estimates(g, lab, counts)
+    th = theta_mle(g, x)
+    # theta_hat is a function of (block, degree), so every pair term is one
+    # of a (class, class) table, each entry built as (P_ab * theta_i) * theta_j
+    deg = g.k_in + g.k_out if g.directed else g.k_out
+    span = int(deg.max()) + 1
+    key = np.where(lab == 1, 0, span) + deg
+    present = np.flatnonzero(np.bincount(key))
+    cls = np.searchsorted(present, key)
+    ct = np.empty(present.size)
+    ct[cls] = th.theta_hat
+    cb = present // span
+    tab = est.p_hat.as_array()[cb[:, None], cb]
+    tab *= ct[:, None]
+    tab *= ct
+    flag = (tab < _CLAMP_EPS) | (tab > 1.0 - _CLAMP_EPS)
+    np.clip(tab, _CLAMP_EPS, 1.0 - _CLAMP_EPS, out=tab)
+    link = np.log(tab)
+    nolink = np.log1p(np.negative(tab, out=tab), out=tab)
+    off, keys = _pair_layout(g) if layout is None else layout
+    clamps = _pair_count(flag, cls, g.directed)
 
     def leaf_sum(start, stop):
-        # terms of flat pairs [start, stop), built from the rows they span;
-        # each product keeps the order (P_ab * theta_i) * theta_j
-        nonlocal clamps
+        # terms of flat pairs [start, stop), gathered from the rows they span
         r0, r1 = np.searchsorted(off, (start, stop - 1), side="right") - 1
-        rows = np.arange(r0, r1 + 1)
         c0 = 0 if g.directed else r0 + 1
-        cols = np.arange(c0, n)
-        probs = (prow[:, c0:][blocks[rows]] * theta[rows, None]
-                 * theta[None, c0:])
-        if g.directed:
-            keep = cols[None, :] != rows[:, None]
-        else:
-            keep = cols[None, :] > rows[:, None]
-        pvals = probs[keep][start - off[r0]:stop - off[r0]]
-        clamps += int(np.count_nonzero((pvals < _CLAMP_EPS)
-                                       | (pvals > 1.0 - _CLAMP_EPS)))
-        pvals = np.clip(pvals, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-        terms = np.log1p(-pvals)
+        slab = nolink[cls[r0:r1 + 1]].take(cls[c0:], axis=1)
+        part = slice(start - off[r0], stop - off[r0])
+        terms = _row_pairs(slab, r0, g.directed)[part]
         lo, hi = np.searchsorted(keys, (start, stop))
-        hit = keys[lo:hi] - start
-        terms[hit] = np.log(pvals[hit])
+        u, v = cls[g.edges[lo:hi]].T
+        terms[keys[lo:hi] - start] = link.take(u * ct.size + v)
         return float(np.sum(terms))
 
-    def pairwise(start, count):
-        # split where np.sum splits a contiguous float64 vector of length
-        # count, so the total equals one np.sum over all terms bit for bit
-        if count <= _LEAF:
-            return leaf_sum(start, start + count)
-        half = count // 2
-        half -= half % 8
-        return pairwise(start, half) + pairwise(start + half, count - half)
+    loglik = _pairwise_sum(leaf_sum, 0, int(off[-1]))
 
-    loglik = pairwise(0, int(off[-1]))
-
-    r1, r2 = within_counts(g, lab)
+    r1, _, _, r2 = counts
     if kind == "zd":
         penalty = lam * max(th.var_block1 * r1, th.var_block2 * r2)
     else:
@@ -262,13 +313,16 @@ def penalized_loglik(g: Graph, x, lam: float = DEFAULT_LAMBDA,
     that block's own within edges), so heterogeneity outside a dense core is
     not over-charged.
 
-    The pair terms are summed exactly as one ``np.sum`` over all pairs in
-    row-major order would sum them (numpy's pairwise order), but built and
-    summed in blocks of at most 65,536 terms, so memory is O(N + |E|) plus
-    one block and no N x N array is formed.  Time is still O(N^2).
+    A pair term depends on the pair only through the classes (block,
+    degree) of its two nodes, so each distinct term, and whether it
+    clamps, is computed once in a table over the C classes present
+    (C <= about 4 sqrt(|E|) + 2).  The terms are gathered from that table
+    in blocks of at most 65,536 and summed exactly as one ``np.sum`` over
+    all pairs in row-major order would sum them (numpy's pairwise order),
+    so memory is O(N + |E|) plus one block and no N x N array is formed.
+    Time is still O(N^2), for the gather and the sum.
     """
-    if not 0 <= lam < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    check_lambda(lam)
     if kind not in CANDIDATE_KINDS:
         raise ValueError(f"unknown candidate kind {kind!r}")
     value, _ = _penalized_details(g, x, lam, kind)
@@ -279,13 +333,13 @@ def penalized_select(g: Graph, candidates: dict[str, FitResult],
                      lam: float = DEFAULT_LAMBDA) -> SelectionOutcome:
     """Evaluate the penalized log-likelihood of each candidate (each with the
     penalty form matching its kind) and keep the argmax."""
-    if not 0 <= lam < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    check_lambda(lam)
     fits, excluded = _active_candidates(candidates)
+    layout = _pair_layout(g)
     scores = {}
     clamp_total = 0
     for kind, fit in fits.items():
-        value, clamps = _penalized_details(g, fit.labels, lam, kind)
+        value, clamps = _penalized_details(g, fit.labels, lam, kind, layout)
         scores[kind] = value
         clamp_total += clamps
     selected, tied = _argmax_in_order(scores)

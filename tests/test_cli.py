@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -257,12 +258,36 @@ def test_lambda_must_be_finite(tmp_path, capsys):
         assert "lambda must be finite" in capsys.readouterr().err
         assert main(SIM_ARGS + ["--lambda", lam]) == 2
         assert "lambda must be finite" in capsys.readouterr().err
-    # finite, but every penalty overflows: the first candidate stands, tied
+    # finite, but every penalty overflows: the first candidate stands, tied,
+    # and the -inf scores are written as strict JSON nulls
     out = tmp_path / "report.json"
     assert main(detect + ["--lambda", "1e308", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert set(report["scores"]["pen_loglik"].values()) == {-np.inf}
+    report = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert set(report["scores"]["pen_loglik"].values()) == {None}
     assert (report["selected"], report["tie"]) == ("zw-max", True)
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-0.5"])
+def test_bad_lambda_stops_before_any_work(tmp_path, two_clique_file, lam,
+                                          capsys):
+    """--lambda is checked while the arguments are parsed: exit 2 before the
+    edge list is fitted or a replicate is sampled."""
+    out = tmp_path / "report.json"
+    boom = mock.Mock(side_effect=AssertionError("ran past a bad lambda"))
+    with mock.patch("bicomm.cli.fit_all_candidates", boom), \
+            mock.patch("bicomm.cli.sample_sbm", boom), \
+            mock.patch("bicomm.cli.load_edge_list", boom):
+        assert main(["detect", "--edges", two_clique_file, "--undirected",
+                     f"--lambda={lam}", "--out", str(out)]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert main(SIM_ARGS + [f"--lambda={lam}"]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+    boom.assert_not_called()
+    assert not out.exists()
 
 
 def test_usage_and_format_exit_codes(tmp_path, capsys):

@@ -1,18 +1,21 @@
 """The blocked penalized likelihood against the dense reference, bit for
 bit, and the memory it may use on a sparse graph."""
 
+import gc
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomm import selection
 from bicomm.graph import Graph, graph_constants
 from bicomm.optimizer import CANDIDATE_KINDS, FitResult
-from bicomm.selection import (_penalized_details, estimate_block_probs,
-                              penalized_select, theta_mle)
+from bicomm.selection import (_pair_count, _penalized_details,
+                              estimate_block_probs, penalized_select,
+                              theta_mle)
 from reference_selection import reference_penalized_details
 
 
@@ -28,6 +31,25 @@ def hub_pair(directed):
 HUB_LABELS = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.int8)
 
 
+def _draw_graph(kind, n, directed, labels, density, rng):
+    """Adjacency of one test graph.  "uniform": every pair at ``density``.
+    "heavy": pair weights w_i w_j from Pareto(1.2) node weights, so hub
+    pairs get theta_i theta_j P_ab > 1 and clamp.  "isolated": uniform, but
+    group 1 keeps no edge, so its theta_hat is all ones and P_11 = 0."""
+    if kind == "heavy":
+        w = rng.pareto(1.2, n) + 1.0
+        a = rng.random((n, n)) < np.outer(w, w) * (density / 4)
+    else:
+        a = rng.random((n, n)) < density
+    if kind == "isolated":
+        a[labels == 1] = False
+        a[:, labels == 1] = False
+    if not directed:
+        a = np.triu(a, 1)
+    np.fill_diagonal(a, False)
+    return Graph(n, np.argwhere(a), directed=directed)
+
+
 @st.composite
 def likelihood_cases(draw):
     """A graph on 4-120 nodes with a split into groups of at least 2."""
@@ -35,17 +57,13 @@ def likelihood_cases(draw):
     directed = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]))
-    a = rng.random((n, n)) < density
-    if not directed:
-        a = np.triu(a, 1)
-    np.fill_diagonal(a, False)
-    g = Graph(n, np.argwhere(a), directed=directed)
     labels = np.zeros(n, dtype=np.int8)
     labels[rng.permutation(n)[:draw(st.integers(2, n - 2))]] = 1
-    return g, labels
+    kind = draw(st.sampled_from(["uniform", "heavy", "isolated"]))
+    return _draw_graph(kind, n, directed, labels, density, rng), labels
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=likelihood_cases(), kind=st.sampled_from(CANDIDATE_KINDS),
        leaf=st.sampled_from([128, 136, selection._LEAF]))
 # empty graphs: every pair clamps
@@ -62,6 +80,41 @@ def test_blocked_likelihood_matches_dense_reference(case, kind, leaf):
     want_value, want_clamps = reference_penalized_details(g, labels, 0.12, kind)
     assert value.hex() == want_value.hex()
     assert clamps == want_clamps
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("graph_kind", ["heavy", "isolated"])
+def test_clamping_class_pairs_match_dense_reference(graph_kind, directed):
+    n = 150
+    rng = np.random.default_rng(7)
+    labels = (rng.random(n) < 0.4).astype(np.int8)
+    g = _draw_graph(graph_kind, n, directed, labels, 0.1, rng)
+    # the premises: hub pairs clamp; an edgeless group has theta_hat all ones
+    theta = theta_mle(g, labels).theta_hat
+    if graph_kind == "isolated":
+        assert np.all(theta[labels == 1] == 1.0)
+    for kind in CANDIDATE_KINDS:
+        want_value, want_clamps = reference_penalized_details(
+            g, labels, 0.12, kind)
+        assert want_clamps > 0
+        for leaf in (128, 136, selection._LEAF):
+            with mock.patch.object(selection, "_LEAF", leaf):
+                value, clamps = _penalized_details(g, labels, 0.12, kind)
+            assert (value.hex(), clamps) == (want_value.hex(), want_clamps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), n_cls=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), directed=st.booleans())
+def test_pair_count_matches_a_loop_over_pairs(n, n_cls, seed, directed):
+    # flags set one way round only, as rounding can leave (P theta_c) theta_d
+    # and (P theta_d) theta_c on two sides of a clamp bound
+    rng = np.random.default_rng(seed)
+    cls = rng.integers(0, n_cls, n)
+    flag = rng.random((n_cls, n_cls)) < 0.4
+    want = sum(int(flag[cls[i], cls[j]]) for i in range(n) for j in range(n)
+               if (i != j if directed else i < j))
+    assert _pair_count(flag, cls, directed) == want
 
 
 def test_hub_pair_has_probabilities_above_one():
@@ -93,3 +146,24 @@ def test_detect_path_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_selector_leaves_no_reference_cycle():
+    """Everything a selection allocates is freed when it returns, not at the
+    next cycle collection: a recursive closure over the leaf function would
+    keep the class tables, the pair layout and the graph alive until then."""
+    rng = np.random.default_rng(0)
+    a = rng.random((60, 60)) < 0.1
+    np.fill_diagonal(a, False)
+    g = Graph(60, np.argwhere(a), directed=True)
+    fits = {kind: FitResult(labels=(rng.random(60) < 0.5).astype(np.int8),
+                            value=0.0)
+            for kind in CANDIDATE_KINDS}
+    penalized_select(g, fits)
+    gc.collect()
+    gc.disable()
+    try:
+        penalized_select(g, fits)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
