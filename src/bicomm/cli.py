@@ -284,8 +284,6 @@ def cmd_simulate(args):
         raise ValueError("need reps >= 1")
     if args.jobs < 1:
         raise ValueError("need jobs >= 1")
-    if args.seed < 0:
-        raise ValueError("seed must be non-negative")
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -328,6 +326,20 @@ def _lambda_arg(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _fit_arg(name):
+    """Parser of an integer FitConfig field, checked by FitConfig while the
+    arguments are parsed, so a bad value stops before any load or sample."""
+    def parse(text):
+        value = int(text)
+        try:
+            FitConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_directedness(cmd):
     grp = cmd.add_mutually_exclusive_group(required=True)
     grp.add_argument("--directed", dest="directed", action="store_true",
@@ -355,8 +367,8 @@ def build_parser():
     d.add_argument("--lambda", dest="lam", type=_lambda_arg,
                    default=DEFAULT_LAMBDA,
                    help="penalized-likelihood tuning parameter")
-    d.add_argument("--restarts", type=int, default=20)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--restarts", type=_fit_arg("restarts"), default=20)
+    d.add_argument("--seed", type=_fit_arg("seed"), default=0)
     d.add_argument("--warm-start", help="label file seeding restart 0")
     d.add_argument("--out", help="write the JSON report here (default stdout)")
     d.set_defaults(func=cmd_detect)
@@ -371,12 +383,12 @@ def build_parser():
                    help="const | pareto:SHAPE | uniform:LOW | exp:RATE")
     _add_directedness(s)
     s.add_argument("--reps", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_fit_arg("seed"), default=0)
     s.add_argument("--criterion", default="penalized",
                    choices=["penalized", "gamma-tau"])
     s.add_argument("--lambda", dest="lam", type=_lambda_arg,
                    default=DEFAULT_LAMBDA)
-    s.add_argument("--restarts", type=int, default=20)
+    s.add_argument("--restarts", type=_fit_arg("restarts"), default=20)
     s.add_argument("--jobs", type=int, default=1,
                    help="replicates run concurrently; rows stay ordered")
     s.add_argument("--out", help="write the CSV here (default stdout)")

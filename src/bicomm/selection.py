@@ -180,13 +180,17 @@ def theta_mle(g: Graph, x) -> ThetaEstimates:
     variances = []
     for label in (1, 0):
         sel = lab == label
-        if not sel.any():
+        count = np.count_nonzero(sel)
+        if count == 0:
             variances.append(0.0)
             continue
-        avg = deg[sel].mean()
+        # the steps of ndarray.mean and .var, without their Python wrappers
+        avg = np.add.reduce(deg[sel]) / count
         if avg > 0:
             theta[sel] = deg[sel] / avg
-        variances.append(float(theta[sel].var()))
+        dev = theta[sel]
+        dev -= np.add.reduce(dev) / count
+        variances.append(float(np.add.reduce(np.square(dev, out=dev)) / count))
     return ThetaEstimates(theta_hat=theta, var_block1=variances[0],
                           var_block2=variances[1])
 

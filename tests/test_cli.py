@@ -290,6 +290,28 @@ def test_bad_lambda_stops_before_any_work(tmp_path, two_clique_file, lam,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--restarts", "0", "restarts must be >= 1"),
+    ("--seed", "-3", "seed must be non-negative"),
+])
+def test_bad_fit_config_stops_before_any_work(tmp_path, two_clique_file, flag,
+                                              value, message, capsys):
+    """--restarts and --seed are checked while the arguments are parsed:
+    exit 2 before the edge list is read or a replicate is sampled."""
+    out = tmp_path / "report.json"
+    boom = mock.Mock(side_effect=AssertionError(f"ran past a bad {flag}"))
+    with mock.patch("bicomm.cli.fit_all_candidates", boom), \
+            mock.patch("bicomm.cli.sample_sbm", boom), \
+            mock.patch("bicomm.cli.load_edge_list", boom):
+        assert main(["detect", "--edges", two_clique_file, "--undirected",
+                     f"{flag}={value}", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(SIM_ARGS + [f"{flag}={value}"]) == 2
+        assert message in capsys.readouterr().err
+    boom.assert_not_called()
+    assert not out.exists()
+
+
 def test_usage_and_format_exit_codes(tmp_path, capsys):
     assert main(["detect", "--edges", "x", "--undirected",
                  "--method", "zq"]) == 2        # unknown choice

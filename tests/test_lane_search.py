@@ -1,11 +1,14 @@
 """The lane kernel against the restart-by-restart reference search, bit for
-bit, on random graphs and configs."""
+bit, on random graphs and configs, in both neighbour-update forms."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicomm import optimizer
 from bicomm.graph import Graph
 from bicomm.optimizer import (_Z_FAMILY, CANDIDATE_KINDS, FitConfig, Objective,
                               fit_all_candidates, greedy_fit)
@@ -51,6 +54,15 @@ def fit_cases(draw):
     return g, cfg
 
 
+def both_forms(g):
+    """Run the enclosed search twice, with the cutoff patched to N and then
+    to N - 1: first with the dense incident matrix, then with the CSR
+    lists."""
+    for cutoff in (g.n_nodes, g.n_nodes - 1):
+        with mock.patch.object(optimizer, "_DENSE_MAX_N", cutoff):
+            yield
+
+
 def assert_same_fit(got, want):
     assert got.labels == want.labels
     assert float(got.value).hex() == float(want.value).hex()
@@ -72,7 +84,9 @@ def test_greedy_fit_matches_reference(case, obj):
             with pytest.raises(ValueError):
                 fit(g, obj, cfg)
         return
-    assert_same_fit(greedy_fit(g, obj, cfg), reference_greedy_fit(g, obj, cfg))
+    want = reference_greedy_fit(g, obj, cfg)
+    for _ in both_forms(g):
+        assert_same_fit(greedy_fit(g, obj, cfg), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -81,6 +95,9 @@ def test_greedy_fit_matches_reference(case, obj):
 @example(case=(cycle(11, True), FitConfig(restarts=4, seed=1, max_iters=3)))
 def test_fit_all_candidates_matches_reference(case):
     g, cfg = case
-    fits = fit_all_candidates(g, cfg)
-    for kind in CANDIDATE_KINDS:
-        assert_same_fit(fits[kind], reference_greedy_fit(g, Objective(kind), cfg))
+    want = {kind: reference_greedy_fit(g, Objective(kind), cfg)
+            for kind in CANDIDATE_KINDS}
+    for _ in both_forms(g):
+        fits = fit_all_candidates(g, cfg)
+        for kind in CANDIDATE_KINDS:
+            assert_same_fit(fits[kind], want[kind])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,9 +189,13 @@ def test_drift_audit_checks_every_lane(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_CHECK_EVERY", 1)
     monkeypatch.setattr(optimizer, "within_counts", counting)
-    fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
-    # one recount per lane per flip
-    assert len(audited) == sum(f.iterations for f in fits.values()) > 0
+    n = pg.graph.n_nodes  # the dense incident matrix, then the CSR lists
+    for cutoff in (n, n - 1):
+        monkeypatch.setattr(optimizer, "_DENSE_MAX_N", cutoff)
+        audited.clear()
+        fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
+        # one recount per lane per flip
+        assert len(audited) == sum(f.iterations for f in fits.values()) > 0
 
 
 def test_drift_audit_catches_miscount(monkeypatch):
@@ -203,5 +209,34 @@ def test_drift_audit_catches_miscount(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_CHECK_EVERY", 1)
     monkeypatch.setattr(optimizer, "within_counts", off_by_one)
-    with pytest.raises(RuntimeError, match="drifted"):
-        fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
+    n = pg.graph.n_nodes  # the dense incident matrix, then the CSR lists
+    for cutoff in (n, n - 1):
+        monkeypatch.setattr(optimizer, "_DENSE_MAX_N", cutoff)
+        with pytest.raises(RuntimeError, match="drifted"):
+            fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
+
+
+def sparse_graph(n, mean_degree, seed):
+    """A directed random graph with about n * mean_degree / 2 edges, drawn
+    without an n x n array."""
+    rng = np.random.default_rng(seed)
+    e = rng.integers(0, n, size=(n * mean_degree // 2, 2))
+    return Graph(n, np.unique(e[e[:, 0] != e[:, 1]], axis=0), directed=True)
+
+
+@pytest.mark.parametrize("n, share", [(optimizer._DENSE_MAX_N + 1, 0.75),
+                                      (3000, 1 / 16)])
+def test_no_dense_matrix_past_the_cutoff(n, share):
+    """Above _DENSE_MAX_N nodes the search walks the CSR lists: its peak
+    stays a fraction of the N^2 * 8 bytes of the dense incident matrix,
+    which the dense form allocates twice over (counts, then float64).  Just
+    above the cutoff the O(N) tables alone peak near half of N^2 * 8."""
+    g = sparse_graph(n, 6, seed=n)
+    g.incidence()  # cached by the graph, not allocated by the search
+    tracemalloc.start()
+    try:
+        fit_all_candidates(g, FitConfig(restarts=1, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < share * n * n * 8
