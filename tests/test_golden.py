@@ -8,11 +8,15 @@ in ``golden/demos/`` were generated once from the code before the
 one-formula-per-place refactor of ``edgestats``, ``optimizer``,
 ``selection``, ``oracle`` and ``cli``; the ``exhaustive_fit_wide`` pins
 (N 13-16) were generated from the one-vector-per-row enumeration before
-``exhaustive_fit`` split the nodes into halves.  Any later change to these
-outputs is a change of behaviour, not of form.
+``exhaustive_fit`` split the nodes into halves; the ``cli_detect`` and
+``cli_simulate`` pins were generated from the CLI before ``cli`` was reduced
+to one code path per job.  Any later change to these outputs is a change of
+behaviour, not of form.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -25,7 +29,7 @@ import pytest
 from bicomm.cli import main
 from bicomm.edgestats import (modularity_q, moment_arrays, perm_null_moments,
                               q_d, within_counts)
-from bicomm.genmodels import ConnectivityMatrix
+from bicomm.genmodels import ConnectivityMatrix, ThetaSpec, sample_dcsbm, sample_sbm
 from bicomm.graph import Graph, graph_constants
 from bicomm.optimizer import Objective, exhaustive_fit
 from bicomm.oracle import expected_counts_sbm, verify_theorem_2_3
@@ -211,6 +215,18 @@ def build_exhaustive_wide():
     return exhaustive_pins("exhaustive_fit_wide", graphs)
 
 
+def write_edges(workdir, name, g):
+    """Edge-list file of ``g`` and the number of nodes the loader finds in
+    it.  Node tokens are named in shuffled order, so the loader's renaming
+    is pinned too."""
+    edges = Path(workdir) / f"{name}.edges"
+    perm = np.random.default_rng(g.n_nodes).permutation(g.n_nodes)
+    tokens = [f"v{t}" for t in perm]
+    lines = [f"{tokens[u]} {tokens[v]}" for u, v in g.edges.tolist()]
+    edges.write_text("\n".join(lines) + "\n")
+    return edges, len({t for ln in lines for t in ln.split()})
+
+
 def build_cli_moments(workdir):
     out = {}
     graphs = dict(special_graphs())
@@ -221,13 +237,7 @@ def build_cli_moments(workdir):
     for name, g in graphs.items():
         if g.n_edges == 0:
             continue
-        edges = Path(workdir) / f"{name}.edges"
-        # node tokens in shuffled order, so the loader's renaming is pinned too
-        perm = np.random.default_rng(g.n_nodes).permutation(g.n_nodes)
-        tokens = [f"v{t}" for t in perm]
-        lines = [f"{tokens[u]} {tokens[v]}" for u, v in g.edges.tolist()]
-        edges.write_text("\n".join(lines) + "\n")
-        loaded_n = len({t for ln in lines for t in ln.split()})
+        edges, loaded_n = write_edges(workdir, name, g)
         lab = np.arange(loaded_n) % 2
         labels = Path(workdir) / f"{name}.labels"
         labels.write_text("\n".join(str(v) for v in lab) + "\n")
@@ -238,6 +248,110 @@ def build_cli_moments(workdir):
         code = main(argv)
         text = report.read_text(encoding="utf-8") if code == 0 else ""
         out[f"cli_moments/{name}"] = [str(code)] + text.splitlines()
+    return out
+
+
+def cli_run(argv, out):
+    """Exit code, stderr and written file of one ``bicomm`` run, the file
+    as its lines without the ``runtime_ms`` timing line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    text = out.read_text(encoding="utf-8") if out.exists() else ""
+    lines = [ln for ln in text.splitlines()
+             if not ln.startswith('  "runtime_ms": ')]
+    return [str(code), err.getvalue()] + lines
+
+
+def detect_graphs():
+    """Planted, random and degenerate graphs for ``bicomm detect``."""
+    rng = np.random.default_rng(2310)
+    two_cliques = [(i, j) for b in (0, 5) for i in range(b, b + 5)
+                   for j in range(i + 1, b + 5)]
+    graphs = {
+        "planted20-u": sample_sbm(ConnectivityMatrix(0.6, 0.1, 0.1, 0.6),
+                                  10, 10, False, rng).graph,
+        "planted19-d": sample_sbm(ConnectivityMatrix(0.1, 0.5, 0.4, 0.1),
+                                  9, 10, True, rng).graph,
+        "dc24-u": sample_dcsbm(ConnectivityMatrix(0.7, 0.3, 0.3, 0.1), 12, 12,
+                               ThetaSpec.parse("pareto:2.5"), False, rng).graph,
+        "dc30-d": sample_dcsbm(ConnectivityMatrix(0.5, 0.1, 0.2, 0.4), 15, 15,
+                               ThetaSpec.parse("exp:2"), True, rng).graph,
+        "cliques10-u": Graph(10, two_cliques, False),
+        "complete6-d": Graph(6, [(i, j) for i in range(6) for j in range(6)
+                                 if i != j], True),
+        "path4-u": Graph(4, [(0, 1), (1, 2), (2, 3)], False),
+    }
+    for i, n in enumerate((14, 33)):
+        for directed in (False, True):
+            graphs[f"n{n}-{'d' if directed else 'u'}"] = random_graph(
+                n, directed, 0.3, seed=800 + 2 * i + directed)
+    return graphs
+
+
+def detect_variants(tokens, bits):
+    """Option lists of the pinned ``detect`` runs; ``tokens`` and ``bits``
+    are label files of text tokens and of 0/1."""
+    fast = ["--restarts", "3", "--seed", "5"]
+    return {
+        "auto": fast,
+        "auto-default-restarts": [],
+        "gamma-tau": fast + ["--criterion", "gamma-tau"],
+        "lambda-0": fast + ["--lambda", "0"],
+        "lambda-1e308": fast + ["--lambda", "1e308"],  # scores overflow: null
+        **{method: fast + ["--method", method]
+           for method in ("zw-max", "zw-min", "zd", "modularity", "qd")},
+        "warm-tokens": fast + ["--warm-start", str(tokens)],
+        "warm-bits-zd": fast + ["--method", "zd", "--warm-start", str(bits)],
+    }
+
+
+def build_cli_detect(workdir):
+    out = {}
+    workdir = Path(workdir)
+    for name, g in detect_graphs().items():
+        edges, loaded_n = write_edges(workdir, name, g)
+        tokens = workdir / f"{name}.tokens"
+        tokens.write_text("".join(("west\n", "east\n")[i % 3 == 0]
+                                  for i in range(loaded_n)))
+        bits = workdir / f"{name}.bits"
+        bits.write_text("".join(f"{int(i < loaded_n // 2)}\n"
+                                for i in range(loaded_n)))
+        base = ["detect", "--edges", str(edges),
+                "--directed" if g.directed else "--undirected"]
+        for variant, extra in detect_variants(tokens, bits).items():
+            out[f"cli_detect/{name}/{variant}"] = cli_run(
+                base + extra, workdir / f"{name}.{variant}.json")
+    return out
+
+
+SIMULATE_CASES = {
+    "sbm-u-assortative": (
+        "sbm 0.7 0.2 0.2 0.6 const --undirected 3 penalized --lambda 0.5"),
+    "sbm-d-asymmetric": "sbm 0.2 0.6 0.3 0.1 const --directed 3 gamma-tau",
+    "sbm-u-flat": "sbm 0.3 0.3 0.3 0.3 const --undirected 3 penalized",
+    "sbm-u-complete": "sbm 1 1 1 1 const --undirected 2 penalized",
+    "sbm-d-complete": "sbm 1 1 1 1 const --directed 2 gamma-tau",
+    "sbm-u-theta-ignored": "sbm 0.6 0.1 0.1 0.6 pareto --undirected 1 gamma-tau",
+    "dcsbm-u-pareto": "dcsbm 0.6 0.2 0.2 0.1 pareto:3 --undirected 1 penalized",
+    "dcsbm-d-exp": "dcsbm 0.1 0.4 0.5 0.2 exp:2 --directed 3 gamma-tau",
+    "dcsbm-d-uniform": "dcsbm 0.5 0.2 0.1 0.4 uniform:0.5 --directed 3 penalized",
+    "dcsbm-u-bad-theta": "dcsbm 0.6 0.2 0.2 0.1 pareto --undirected 1 penalized",
+    "sbm-u-bad-p": "sbm 1.5 0.2 0.2 0.6 const --undirected 1 penalized",
+}
+
+
+def build_cli_simulate(workdir):
+    out = {}
+    for name, case in SIMULATE_CASES.items():
+        (model, p11, p12, p21, p22, theta, direction, reps, crit,
+         *extra) = case.split()
+        argv = ["simulate", "--model", model, "--p11", p11, "--p12", p12,
+                "--p21", p21, "--p22", p22, "--m", "8", "--n", "7",
+                "--theta", theta, direction, "--reps", reps,
+                "--criterion", crit, "--restarts", "3", "--seed", "11", *extra]
+        out[f"cli_simulate/{name}"] = cli_run(
+            argv, Path(workdir) / f"{name}.csv")
     return out
 
 
@@ -289,6 +403,14 @@ def test_golden_exhaustive_wide(pinned):
 
 def test_golden_cli_moments(pinned, tmp_path):
     check(pinned, ("cli_moments",), build_cli_moments(tmp_path))
+
+
+def test_golden_cli_detect(pinned, tmp_path):
+    check(pinned, ("cli_detect",), build_cli_detect(tmp_path))
+
+
+def test_golden_cli_simulate(pinned, tmp_path):
+    check(pinned, ("cli_simulate",), build_cli_simulate(tmp_path))
 
 
 @pytest.mark.parametrize("stem", DEMOS)
