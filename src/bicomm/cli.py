@@ -8,8 +8,7 @@ Exit codes: 0 success, 2 usage/parameter error, 3 input-format error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import sys
@@ -39,31 +38,23 @@ _MODULARITY_NOTE = ("Q sums A_ij minus the degree-product rate over ordered "
                     "over |G|.")
 
 
-def _read_label_tokens(path):
+def _read_labels(path, n_expected=None):
+    """0/1 labels of a label file: one token per line, blank and ``#`` lines
+    skipped.  The file must hold exactly two distinct tokens; the
+    lexicographically smaller one becomes community 0, so 0/1 read as is."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = [ln.strip() for ln in fh
                   if ln.strip() and not ln.strip().startswith("#")]
     if not tokens:
         raise GraphFormatError(f"{path}: empty label file")
-    return tokens
-
-
-def _tokens_to_labels(tokens, path):
     distinct = sorted(set(tokens))
-    if set(distinct) <= {"0", "1"}:
-        if len(distinct) != 2:
-            raise GraphFormatError(f"{path}: need both labels present")
-        return np.array([int(t) for t in tokens], dtype=np.int8)
     if len(distinct) != 2:
+        if set(distinct) <= {"0", "1"}:
+            raise GraphFormatError(f"{path}: need both labels present")
         raise GraphFormatError(
             f"{path}: expected exactly two distinct label tokens, "
             f"got {len(distinct)}")
-    # lexicographically smaller token becomes community 0
-    return np.array([int(t == distinct[1]) for t in tokens], dtype=np.int8)
-
-
-def _read_labels(path, n_expected=None):
-    lab = _tokens_to_labels(_read_label_tokens(path), path)
+    lab = np.array([t == distinct[1] for t in tokens], dtype=np.int8)
     if n_expected is not None and lab.size != n_expected:
         raise GraphFormatError(
             f"{path}: {lab.size} labels for a graph with {n_expected} nodes")
@@ -78,36 +69,54 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _finite(obj):
-    """``obj`` with each non-finite float, such as a score that overflowed to
-    -inf, replaced by None, so the report is strict JSON (null)."""
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_finite(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
-
-
 def _json_dump(payload):
-    return json.dumps(_finite(payload), indent=2, sort_keys=True,
+    # strict JSON: a non-finite float that reaches here is a fault, not data
+    return json.dumps(payload, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
 
 
+def _graph_report(command, g, c):
+    """The report fields that ``detect`` and ``moments`` share."""
+    return {
+        "command": command,
+        "directed": g.directed,
+        "n_nodes": g.n_nodes,
+        "n_edges": g.n_edges,
+        "nodes": list(g.node_names),
+        "graph_constants": {"g_size": c.g_size, "q1": c.q1, "q2": c.q2},
+    }
+
+
+def _select(g, candidates, args):
+    """The mixing-type criterion ``args.criterion`` applied to the fits."""
+    if args.criterion == "penalized":
+        return penalized_select(g, candidates, lam=args.lam)
+    return gamma_tau_select(g, candidates)
+
+
+def _criterion_scores(outcome):
+    s = outcome.scores
+    if outcome.criterion == "penalized":
+        # a huge finite lambda overflows a penalty to -inf: written as null
+        return {"pen_loglik": {k: None if v == -math.inf else v
+                               for k, v in s.pen_loglik.items()},
+                "clamp_events": outcome.clamp_events}
+    return {"n_gamma_sq": s.n_gamma_sq, "n_tau_sq_max": s.n_tau_sq_max,
+            "n_tau_sq_min": s.n_tau_sq_min}
+
+
 def _candidate_payload(g, c, fit):
-    lab = fit.labels.labels
-    m_x = int(lab.sum())
-    entry = {
-        "labels": [int(v) for v in lab],
+    part = fit.labels
+    return {
+        "labels": part.labels.tolist(),
         "objective_value": fit.value,
         "degenerate": fit.degenerate,
-        "group_sizes": [m_x, int(lab.size) - m_x],
+        "group_sizes": [part.m_x, part.n_x],
         "iterations": fit.iterations,
-        "restart_values": [float(v) for v in fit.restart_values],
+        "restart_values": fit.restart_values,
+        "z_w": z_w(g, part, c),
+        "z_d": z_d(g, part, c),
     }
-    if min(m_x, lab.size - m_x) >= 2:
-        entry["z_w"] = z_w(g, fit.labels, c)
-        entry["z_d"] = z_d(g, fit.labels, c)
-    return entry
 
 
 def cmd_detect(args):
@@ -123,47 +132,23 @@ def cmd_detect(args):
             f"at least {2 * cfg.min_group + 1})")
     c = graph_constants(g)
 
-    report = {
-        "command": "detect",
-        "directed": g.directed,
-        "n_nodes": g.n_nodes,
-        "n_edges": g.n_edges,
-        "nodes": list(g.node_names),
-        "duplicate_edges_dropped": g.duplicate_edges,
-        "graph_constants": {"g_size": c.g_size, "q1": c.q1, "q2": c.q2},
-        "method": args.method,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "criterion": None,
-        "lambda": None,
-        "scores": None,
-        "tie": False,
-    }
-
+    report = _graph_report("detect", g, c)
+    report.update({"duplicate_edges_dropped": g.duplicate_edges,
+                   "method": args.method, "seed": args.seed,
+                   "restarts": args.restarts, "criterion": None,
+                   "lambda": None, "scores": None, "tie": False})
     exit_code = EXIT_OK
     if args.method == "auto":
         candidates = fit_all_candidates(g, cfg)
-        if args.criterion == "penalized":
-            outcome = penalized_select(g, candidates, lam=args.lam)
-            report["lambda"] = args.lam
-            report["scores"] = {
-                "pen_loglik": outcome.scores.pen_loglik,
-                "clamp_events": outcome.clamp_events,
-            }
-        else:
-            outcome = gamma_tau_select(g, candidates)
-            report["scores"] = {
-                "n_gamma_sq": outcome.scores.n_gamma_sq,
-                "n_tau_sq_max": outcome.scores.n_tau_sq_max,
-                "n_tau_sq_min": outcome.scores.n_tau_sq_min,
-            }
-        report["criterion"] = outcome.criterion
-        report["tie"] = outcome.tied
-        report["excluded"] = list(outcome.excluded)
+        outcome = _select(g, candidates, args)
         selected = outcome.selected
+        report.update({"criterion": outcome.criterion,
+                       "lambda": outcome.scores.lam,
+                       "scores": _criterion_scores(outcome),
+                       "tie": outcome.tied,
+                       "excluded": list(outcome.excluded)})
     else:
-        obj = Objective(args.method)
-        fit = greedy_fit(g, obj, cfg)
+        fit = greedy_fit(g, Objective(args.method), cfg)
         candidates = {args.method: fit}
         selected = args.method
         if fit.degenerate:
@@ -174,10 +159,8 @@ def cmd_detect(args):
     report["candidates"] = {k: _candidate_payload(g, c, f)
                             for k, f in candidates.items()}
     report["selected"] = selected
-    sel_lab = candidates[selected].labels.labels
-    m_x = int(sel_lab.sum())
-    report["labels"] = [int(v) for v in sel_lab]
-    report["group_sizes"] = [m_x, int(sel_lab.size) - m_x]
+    for key in ("labels", "group_sizes"):
+        report[key] = report["candidates"][selected][key]
     report["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
 
     _emit(_json_dump(report), args.out)
@@ -186,23 +169,17 @@ def cmd_detect(args):
 
 def cmd_moments(args):
     g = load_edge_list(args.edges, args.directed)
-    lab = _read_labels(args.labels, g.n_nodes)
-    part = Partition(lab)
+    part = Partition(_read_labels(args.labels, g.n_nodes))
     c = graph_constants(g)
     m_x, n_x = part.m_x, part.n_x
     if min(m_x, n_x) < 2:
         raise GraphFormatError("labels must put at least 2 nodes in each group")
     mom = perm_null_moments(c, m_x, n_x)
     r1, r2 = within_counts(g, part)
-    payload = {
-        "command": "moments",
-        "directed": g.directed,
-        "n_nodes": g.n_nodes,
-        "n_edges": g.n_edges,
-        "nodes": list(g.node_names),
-        "labels": [int(v) for v in lab],
+    payload = _graph_report("moments", g, c)
+    payload.update({
+        "labels": part.labels.tolist(),
         "group_sizes": [m_x, n_x],
-        "graph_constants": {"g_size": c.g_size, "q1": c.q1, "q2": c.q2},
         "r1": r1,
         "r2": r2,
         "r_w": r_w(g, part),
@@ -215,10 +192,11 @@ def cmd_moments(args):
         "degenerate_d": mom.degenerate_d,
         "z_w": z_w(g, part, c),
         "z_d": z_d(g, part, c),
-        "q": modularity_q(g, part) if g.n_edges else None,
-        "q_d": q_d(g, part) if g.n_edges else None,
+        # the loader demands 4 nodes, so there are edges and Q is defined
+        "q": modularity_q(g, part),
+        "q_d": q_d(g, part),
         "notes": {"modularity_convention": _MODULARITY_NOTE},
-    }
+    })
     _emit(_json_dump(payload), args.out)
     return EXIT_OK
 
@@ -233,51 +211,35 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _simulate_one(args, rep):
-    p = ConnectivityMatrix(args.p11, args.p12, args.p21, args.p22)
-    rng, fit_seed = replicate_rngs(args.seed, rep)
-    if args.model == "dcsbm":
-        pg = sample_dcsbm(p, args.m, args.n, ThetaSpec.parse(args.theta),
-                          args.directed, rng)
-    else:
-        pg = sample_sbm(p, args.m, args.n, args.directed, rng)
-    cfg = FitConfig(restarts=args.restarts, seed=fit_seed)
-    candidates = fit_all_candidates(pg.graph, cfg)
-    eps = {kind: misclassification_rate(pg.truth, fit.labels)
-           for kind, fit in candidates.items()}
-    try:
-        if args.criterion == "penalized":
-            outcome = penalized_select(pg.graph, candidates, lam=args.lam)
-        else:
-            outcome = gamma_tau_select(pg.graph, candidates)
-        selected = outcome.selected
-        eps_sel = eps[selected]
-        record = EvalRecord(eps_criterion=eps_sel, eps_d=eps["zd"],
-                            eps_w_min=eps["zw-min"], eps_w_max=eps["zw-max"])
-        success = int(record.success)
-    except DegenerateError:
-        selected = "none"
-        eps_sel = float("nan")
-        success = 0
-    return {
-        "rep": rep,
-        "eps_zw_max": eps["zw-max"],
-        "eps_zw_min": eps["zw-min"],
-        "eps_zd": eps["zd"],
-        "selected": selected,
-        "eps_selected": eps_sel,
-        "success": success,
-    }
-
-
 _CSV_COLUMNS = ("rep", "eps_zw_max", "eps_zw_min", "eps_zd",
                 "selected", "eps_selected", "success")
 
 
+def _simulate_one(args, p, theta, rep):
+    """Replicate ``rep``: sample, fit, select; its CSV row in
+    ``_CSV_COLUMNS`` order.  ``theta`` is None for the plain SBM."""
+    rng, fit_seed = replicate_rngs(args.seed, rep)
+    if theta is None:
+        pg = sample_sbm(p, args.m, args.n, args.directed, rng)
+    else:
+        pg = sample_dcsbm(p, args.m, args.n, theta, args.directed, rng)
+    cfg = FitConfig(restarts=args.restarts, seed=fit_seed)
+    candidates = fit_all_candidates(pg.graph, cfg)
+    eps = {kind: misclassification_rate(pg.truth, fit.labels)
+           for kind, fit in candidates.items()}
+    row = (rep, eps["zw-max"], eps["zw-min"], eps["zd"])
+    try:
+        selected = _select(pg.graph, candidates, args).selected
+    except DegenerateError:
+        return row + ("none", float("nan"), 0)
+    record = EvalRecord(eps_criterion=eps[selected], eps_d=eps["zd"],
+                        eps_w_min=eps["zw-min"], eps_w_max=eps["zw-max"])
+    return row + (selected, eps[selected], int(record.success))
+
+
 def cmd_simulate(args):
-    ConnectivityMatrix(args.p11, args.p12, args.p21, args.p22)  # domain check
-    if args.model == "dcsbm":
-        ThetaSpec.parse(args.theta)
+    p = ConnectivityMatrix(args.p11, args.p12, args.p21, args.p22)
+    theta = ThetaSpec.parse(args.theta) if args.model == "dcsbm" else None
     if args.m < 2 or args.n < 2:
         raise ValueError("need m, n >= 2")
     if args.reps < 1:
@@ -285,59 +247,42 @@ def cmd_simulate(args):
     if args.jobs < 1:
         raise ValueError("need jobs >= 1")
 
+    one = functools.partial(_simulate_one, args, p, theta)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_simulate_one, [args] * args.reps,
-                                 range(args.reps)))
+            rows = list(pool.map(one, range(args.reps)))  # in rep order
     else:
-        rows = [_simulate_one(args, rep) for rep in range(args.reps)]
-    rows.sort(key=lambda row: row["rep"])
+        rows = [one(rep) for rep in range(args.reps)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["rep"],
-            f"{row['eps_zw_max']:.6f}",
-            f"{row['eps_zw_min']:.6f}",
-            f"{row['eps_zd']:.6f}",
-            row["selected"],
-            f"{row['eps_selected']:.6f}",
-            row["success"],
-        ])
-    writer.writerow([
-        "mean",
-        f"{np.mean([r['eps_zw_max'] for r in rows]):.6f}",
-        f"{np.mean([r['eps_zw_min'] for r in rows]):.6f}",
-        f"{np.mean([r['eps_zd'] for r in rows]):.6f}",
-        "",
-        f"{np.mean([r['eps_selected'] for r in rows]):.6f}",
-        f"{np.mean([r['success'] for r in rows]):.6f}",
-    ])
-    _emit(buf.getvalue(), args.out)
+    cols = list(zip(*rows))
+    mean = ("mean", *map(np.mean, cols[1:4]), "", *map(np.mean, cols[5:]))
+    lines = [",".join(_CSV_COLUMNS)]
+    for row in rows + [mean]:
+        lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v)
+                              for v in row))
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _lambda_arg(text):
-    try:  # checked while parsing: a bad lambda stops before any load or fit
-        return check_lambda(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _fit_arg(name):
-    """Parser of an integer FitConfig field, checked by FitConfig while the
-    arguments are parsed, so a bad value stops before any load or sample."""
+def _checked(convert, check):
+    """argparse type: ``convert`` the text, then ``check`` the value while
+    the arguments are parsed, so a bad value stops before any load, sample
+    or fit.  A text ``convert`` refuses gets argparse's "invalid <type>
+    value" message."""
     def parse(text):
-        value = int(text)
+        value = convert(text)
         try:
-            FitConfig(**{name: value})
+            check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.__name__ = convert.__name__  # argparse names the type by it
     return parse
+
+
+_LAMBDA = _checked(float, check_lambda)
+_RESTARTS = _checked(int, lambda v: FitConfig(restarts=v))
+_SEED = _checked(int, lambda v: FitConfig(seed=v))
 
 
 def _add_directedness(cmd):
@@ -364,11 +309,11 @@ def build_parser():
     d.add_argument("--criterion", default="penalized",
                    choices=["penalized", "gamma-tau"],
                    help="mixing-type criterion used when --method auto")
-    d.add_argument("--lambda", dest="lam", type=_lambda_arg,
+    d.add_argument("--lambda", dest="lam", type=_LAMBDA,
                    default=DEFAULT_LAMBDA,
                    help="penalized-likelihood tuning parameter")
-    d.add_argument("--restarts", type=_fit_arg("restarts"), default=20)
-    d.add_argument("--seed", type=_fit_arg("seed"), default=0)
+    d.add_argument("--restarts", type=_RESTARTS, default=20)
+    d.add_argument("--seed", type=_SEED, default=0)
     d.add_argument("--warm-start", help="label file seeding restart 0")
     d.add_argument("--out", help="write the JSON report here (default stdout)")
     d.set_defaults(func=cmd_detect)
@@ -383,12 +328,12 @@ def build_parser():
                    help="const | pareto:SHAPE | uniform:LOW | exp:RATE")
     _add_directedness(s)
     s.add_argument("--reps", type=int, default=1)
-    s.add_argument("--seed", type=_fit_arg("seed"), default=0)
+    s.add_argument("--seed", type=_SEED, default=0)
     s.add_argument("--criterion", default="penalized",
                    choices=["penalized", "gamma-tau"])
-    s.add_argument("--lambda", dest="lam", type=_lambda_arg,
+    s.add_argument("--lambda", dest="lam", type=_LAMBDA,
                    default=DEFAULT_LAMBDA)
-    s.add_argument("--restarts", type=_fit_arg("restarts"), default=20)
+    s.add_argument("--restarts", type=_RESTARTS, default=20)
     s.add_argument("--jobs", type=int, default=1,
                    help="replicates run concurrently; rows stay ordered")
     s.add_argument("--out", help="write the CSV here (default stdout)")

@@ -46,7 +46,8 @@ class Graph:
     n_nodes : int
         Number of nodes.
     edges : array-like of shape (E, 2)
-        Edge endpoints.  May be empty.
+        Edge endpoints.  May be empty.  Floats (here and in ``n_nodes``)
+        must be integral: ValueError, not truncation, otherwise.
     directed : bool
         Whether pairs are ordered.
     node_names : sequence of str, optional
@@ -62,10 +63,16 @@ class Graph:
 
     def __init__(self, n_nodes, edges, directed, node_names=None,
                  duplicate_edges=0):
+        if not float(n_nodes).is_integer():  # NaN and inf included
+            raise ValueError(f"n_nodes must be an integer, got {n_nodes}")
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise ValueError("graph needs at least one node")
-        e = np.asarray(edges, dtype=np.int64)
+        e = np.asarray(edges)
+        if e.dtype.kind == "f" and not np.all(np.isfinite(e)
+                                              & (e == np.trunc(e))):
+            raise ValueError("edge endpoints must be integers")
+        e = e.astype(np.int64, copy=False)
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:

@@ -132,9 +132,10 @@ def _z_coefficients(objs, tables, n, min_group):
     A = 1, B = -1, C = 1; ZW_MIN divides by -sd.  A degenerate size gets
     A = B = mu = 0 and sd = +-1, so the value is a signed 0, and a size
     outside [min_group, N - min_group] gets mu = +inf, so the value is -inf.
-    This is the only coding of Z from counts: IEEE arithmetic gives
-    1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly, so the values
-    are bit for bit those of the statistics' direct formulas.
+    This is the search's only coding of Z from counts (``edgestats._z``
+    codes it for ``z_w``/``z_d``), and it matches that scalar coding bit for
+    bit: IEEE arithmetic gives 1 R1 + (-1) R2 = R1 - R2 and
+    x / (-y) = -(x / y) exactly.
     Returns (A, B, mu, sd) and the per-objective C.
     """
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
@@ -174,9 +175,10 @@ class _Lanes:
     are the changes of R1/R2 if it flips: +w1/-w0 for a node labelled 0,
     -w1/+w0 for one labelled 1, with w1/w0 its incident edges whose other
     end is labelled 1/0.  Per lane: R1, R2, m1, the current value and, for
-    the modularity objectives, the block degree sums.  Every running lane
-    has made the same number of flips; a lane that stops is recorded and its
-    row dropped.  A flip moves d1 and d2 of the flipped node's neighbours:
+    the modularity objectives, group 1's degree sums (group 0's are the
+    totals less these, exact in float64).  Every running lane has made the
+    same number of flips; a lane that stops is recorded and its row
+    dropped.  A flip moves d1 and d2 of the flipped node's neighbours:
     on graphs of at most ``_DENSE_MAX_N`` nodes by the node's row of the
     dense incident-edge count matrix ``adj``, on larger ones through the CSR
     incidence lists.  Both count in integers held exactly in float64, so
@@ -234,12 +236,11 @@ class _Lanes:
                                  0.0, np.inf)
             self.toff = np.ones(n_lanes, dtype=np.intp)
             self.signed = objs[0] is Objective.QD_MAX
-            self.ko1, self.ki1, self.ko0, self.ki0 = _degree_group_sums(
-                g, self.sg < 0)
-            self.cur = _q_values(self.signed, self.r1, self.r2, self.ko1,
-                                 self.ki1, self.ko0, self.ki0,
+            sums = _degree_group_sums(g, self.sg < 0)
+            self.ko1, self.ki1 = sums[:2]
+            self.cur = _q_values(self.signed, self.r1, self.r2, *sums,
                                  float(g.n_edges), g.directed)
-            self.fields = ("ko1", "ki1", "ko0", "ki0")
+            self.fields = ("ko1", "ki1")
         self.fields += ("lane", "sg", "d1", "d2", "r1", "r2", "m1", "cur", "toff")
         self.rows_n = self.lane * n
 
@@ -270,8 +271,7 @@ class _Lanes:
         ki1n = self.sg * self.k_in
         ki1n += self.ki1[:, None]
         v = _q_values(self.signed, r1n, r2n, ko1n, ki1n,
-                      (self.ko0 + self.ko1)[:, None] - ko1n,
-                      (self.ki0 + self.ki1)[:, None] - ki1n,
+                      self.k_out.sum() - ko1n, self.k_in.sum() - ki1n,
                       float(self.g.n_edges), self.g.directed)
         v -= self.kill.take(idx)
         return v
@@ -292,8 +292,6 @@ class _Lanes:
         if not self.z_family:
             self.ko1 += up * self.k_out[best]
             self.ki1 += up * self.k_in[best]
-            self.ko0 -= up * self.k_out[best]
-            self.ki0 -= up * self.k_in[best]
         if self.adj is not None:
             # every flipped node's row of incident-edge counts
             delta = self.adj.take(best, axis=0)

@@ -312,6 +312,20 @@ def test_bad_fit_config_stops_before_any_work(tmp_path, two_clique_file, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--restarts", "x", "argument --restarts: invalid int value: 'x'"),
+    ("--seed", "1.5", "argument --seed: invalid int value: '1.5'"),
+    ("--lambda", "abc", "argument --lambda: invalid float value: 'abc'"),
+])
+def test_non_numeric_option_text_exits_2(two_clique_file, flag, value,
+                                         message, capsys):
+    assert main(["detect", "--edges", two_clique_file, "--undirected",
+                 flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert main(SIM_ARGS + [flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_usage_and_format_exit_codes(tmp_path, capsys):
     assert main(["detect", "--edges", "x", "--undirected",
                  "--method", "zq"]) == 2        # unknown choice

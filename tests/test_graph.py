@@ -38,6 +38,26 @@ def test_rejects_self_loops_duplicates_bad_endpoints():
         Graph(4, [(0, 7)], directed=True)
 
 
+@pytest.mark.parametrize("n_nodes, edges", [
+    (5, [[0.5, 1.7], [2, 3.9]]),
+    (5, [[0, 1], [2, np.nan]]),
+    (5, np.array([[0, 1], [2, np.inf]])),
+    (4.7, [(0, 1), (2, 3)]),
+    (float("nan"), [(0, 1)]),
+])
+def test_rejects_non_integral_input(n_nodes, edges):
+    """Non-integral nodes or endpoints are refused, not truncated."""
+    with pytest.raises(ValueError, match="must be integers|must be an integer"):
+        Graph(n_nodes, edges, directed=False)
+
+
+def test_accepts_integral_floats():
+    g = Graph(5.0, np.array([[0.0, 1.0], [3.0, 2.0]]), directed=False)
+    assert g.n_nodes == 5
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
+    assert g.edges.dtype == np.int64
+
+
 def test_incidence_lists_count_both_orientations():
     g = Graph(4, [(0, 1), (1, 0), (1, 2)], directed=True)
     # node 1 touches three stored edges
