@@ -29,7 +29,8 @@ import pytest
 from bicomm.cli import main
 from bicomm.edgestats import (modularity_q, moment_arrays, perm_null_moments,
                               q_d, within_counts)
-from bicomm.genmodels import ConnectivityMatrix, ThetaSpec, sample_dcsbm, sample_sbm
+from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, sample_dcsbm,
+                              sample_sbm)
 from bicomm.graph import Graph, graph_constants
 from bicomm.optimizer import Objective, exhaustive_fit
 from bicomm.oracle import expected_counts_sbm, verify_theorem_2_3
