@@ -61,6 +61,15 @@ def _read_labels(path, n_expected=None):
     return lab
 
 
+def _read_partition(path, n_nodes):
+    """The labels of ``path`` as a Partition of an ``n_nodes`` graph, with
+    at least 2 nodes in each group (the null variance needs them)."""
+    part = Partition(_read_labels(path, n_nodes))
+    if min(part.m_x, part.n_x) < 2:
+        raise GraphFormatError("labels must put at least 2 nodes in each group")
+    return part
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -124,7 +133,7 @@ def cmd_detect(args):
     g = load_edge_list(args.edges, args.directed)
     warm = None
     if args.warm_start:
-        warm = Partition(_read_labels(args.warm_start, g.n_nodes))
+        warm = _read_partition(args.warm_start, g.n_nodes)
     cfg = FitConfig(restarts=args.restarts, seed=args.seed, warm_start=warm)
     if g.n_nodes < 2 * cfg.min_group + 1:
         raise GraphFormatError(
@@ -169,11 +178,9 @@ def cmd_detect(args):
 
 def cmd_moments(args):
     g = load_edge_list(args.edges, args.directed)
-    part = Partition(_read_labels(args.labels, g.n_nodes))
+    part = _read_partition(args.labels, g.n_nodes)
     c = graph_constants(g)
     m_x, n_x = part.m_x, part.n_x
-    if min(m_x, n_x) < 2:
-        raise GraphFormatError("labels must put at least 2 nodes in each group")
     mom = perm_null_moments(c, m_x, n_x)
     r1, r2 = within_counts(g, part)
     payload = _graph_report("moments", g, c)

@@ -48,6 +48,10 @@ class Partition:
     def __repr__(self):
         return f"Partition(m_x={self.m_x}, n_x={self.n_x})"
 
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled copy stays read-only
+        return Partition, (self.labels,)
+
 
 def _checked_labels(labels):
     """Read-only int8 copy of a 0/1 array-like, validated."""

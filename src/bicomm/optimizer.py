@@ -4,6 +4,9 @@ plus an exhaustive search for small-graph validation."""
 from __future__ import annotations
 
 import enum
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +27,17 @@ _CHECK_EVERY = 100    # incremental bookkeeping audited against full recounts
 # degrees 24-38, where the O(N) row work per lane outgrows the fixed call
 # overhead of the CSR walk.  The matrix is 128 KB at the cutoff.
 _DENSE_MAX_N = 128
+# From this many nodes up, fit_all_candidates and penalized_select work on
+# one candidate per process: the caller's own and two forked workers.
+# Measured on a 2-core host as forked / serial time of the fit plus the
+# penalized selection, medians of 5-7 alternating runs on directed and
+# undirected DCSBM graphs of mean degree 24: at 1 restart 1.1-3.2 for N
+# 200-1,500, 0.99-1.08 at N 2,000, 0.79-0.91 at N 3,000 and 0.71-0.75 at N
+# 4,000; at 20 restarts 1.5-1.9 at N 200, 0.62-0.87 at N 500, 0.61-0.65 at
+# N 1,000 and 0.45-0.48 at N 2,000.  A fork round costs 6-8 ms, and three
+# one-candidate searches each pay the per-step call overhead that the
+# joint search pays once, so the gate sits at the 1-restart crossover.
+_FORK_MIN_N = 2000
 
 
 class Objective(enum.Enum):
@@ -508,13 +522,90 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
 CANDIDATE_KINDS = ("zw-max", "zw-min", "zd")
 
 
+def _workers_usable(n_nodes):
+    """Whether a job on an ``n_nodes`` graph may fork candidate workers:
+    the graph is at or above the gate, this is the main process (so the
+    workers of ``simulate --jobs`` never fork their own), it runs one
+    thread, the ``fork`` start method exists and at least 2 CPUs are
+    available to it."""
+    return (n_nodes >= _FORK_MIN_N
+            and multiprocessing.parent_process() is None
+            and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _worker(conn, fn, item):
+    try:
+        out = (True, fn(item))
+    except BaseException as exc:  # handed to the caller, which re-raises it
+        out = (False, exc)
+    conn.send(out)
+
+
+def _per_candidate(fn, items, n_nodes, serial=None):
+    """``[fn(x) for x in items]``, one process per item when
+    ``_workers_usable(n_nodes)``.
+
+    Then fn(items[0]) runs in this process and every other item in a forked
+    worker; results come back over a pipe and are merged in ``items``
+    order, and the first exception in that order is re-raised with its type
+    and message.  Every worker is joined before this returns, and
+    terminated first if anything failed.  Otherwise the items run here in
+    turn, or ``serial()``, a joint form with the same results, runs in
+    their place when given.
+    """
+    if not _workers_usable(n_nodes):
+        return serial() if serial is not None else [fn(x) for x in items]
+    # Process.start flushes stdout and stderr before it forks, so no worker
+    # writes the caller's buffered output a second time
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for item in items[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(send, fn, item),
+                               daemon=True)
+            proc.start()
+            send.close()
+            procs.append(proc)
+            conns.append(recv)
+        results = [fn(items[0])]
+        for conn in conns:
+            try:
+                ok, out = conn.recv()
+            except EOFError:
+                ok, out = False, RuntimeError(
+                    "a candidate worker exited without a result")
+            if not ok:
+                raise out
+            results.append(out)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+    return results
+
+
 def fit_all_candidates(g: Graph, cfg: FitConfig | None = None) -> dict[str, FitResult]:
     """Fit the three mixing-type candidates (Z_w-max, Z_w-min, Z_d).
 
-    All restarts of all three run as the 3 x restarts lanes of one search,
-    on one set of graph constants and moment tables; each result equals
-    ``greedy_fit`` of that candidate with the same config.
+    Each result equals ``greedy_fit`` of that candidate with the same
+    config, bit for bit.  On a graph of at least ``_FORK_MIN_N`` nodes, with
+    2 or more CPUs available, each candidate is fitted in a process of its
+    own (see ``_per_candidate``); otherwise all restarts of all three run as
+    the 3 x restarts lanes of one search, on one set of graph constants and
+    moment tables.
     """
     cfg = cfg if cfg is not None else FitConfig()
-    fits = _lane_search(g, [Objective(kind) for kind in CANDIDATE_KINDS], cfg)
+    objs = [Objective(kind) for kind in CANDIDATE_KINDS]
+    g.incidence()  # built once, before any fork
+    fits = _per_candidate(lambda obj: _lane_search(g, [obj], cfg)[0], objs,
+                          g.n_nodes, serial=lambda: _lane_search(g, objs, cfg))
     return dict(zip(CANDIDATE_KINDS, fits))

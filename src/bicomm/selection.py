@@ -10,7 +10,7 @@ import numpy as np
 from .edgestats import Partition, _block_counts, as_labels
 from .genmodels import ConnectivityMatrix
 from .graph import Graph
-from .optimizer import CANDIDATE_KINDS, FitResult
+from .optimizer import CANDIDATE_KINDS, FitResult, _per_candidate
 
 _CLAMP_EPS = 1e-9
 # Most terms summed by one np.sum call in the likelihood; at least 128, the
@@ -336,18 +336,20 @@ def penalized_loglik(g: Graph, x, lam: float = DEFAULT_LAMBDA,
 def penalized_select(g: Graph, candidates: dict[str, FitResult],
                      lam: float = DEFAULT_LAMBDA) -> SelectionOutcome:
     """Evaluate the penalized log-likelihood of each candidate (each with the
-    penalty form matching its kind) and keep the argmax."""
+    penalty form matching its kind) and keep the argmax.  On a large enough
+    graph the candidates are scored in forked worker processes, as in
+    ``fit_all_candidates``, with the same results."""
     check_lambda(lam)
     fits, excluded = _active_candidates(candidates)
     layout = _pair_layout(g)
-    scores = {}
-    clamp_total = 0
-    for kind, fit in fits.items():
-        value, clamps = _penalized_details(g, fit.labels, lam, kind, layout)
-        scores[kind] = value
-        clamp_total += clamps
+    details = _per_candidate(
+        lambda kind: _penalized_details(g, fits[kind].labels, lam, kind,
+                                        layout),
+        list(fits), g.n_nodes)
+    scores = {kind: value for kind, (value, _) in zip(fits, details)}
     selected, tied = _argmax_in_order(scores)
     return SelectionOutcome(
         selected=selected, criterion="penalized",
-        scores=CriterionScores(pen_loglik=dict(scores), lam=lam),
-        tied=tied, excluded=excluded, clamp_events=clamp_total)
+        scores=CriterionScores(pen_loglik=scores, lam=lam),
+        tied=tied, excluded=excluded,
+        clamp_events=sum(clamps for _, clamps in details))

@@ -1,5 +1,7 @@
 import itertools
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bicomm import optimizer
 from bicomm.cli import main
 from bicomm.edgestats import Partition, z_d, z_w
 from bicomm.evaluation import misclassification_rate
@@ -164,6 +167,25 @@ def test_moments_rejects_singleton_group(tmp_path):
                  "--undirected"]) == 3
 
 
+@pytest.mark.parametrize("method", ["auto", "zd"])
+def test_detect_warm_start_with_a_singleton_group_exits_3(
+        tmp_path, two_clique_file, method, capsys):
+    """The warm start's group sizes are checked as ``moments`` checks its
+    labels: exit 3 with the same message, before anything is fitted."""
+    warm = write_labels(tmp_path, "warm.labels", [1] + [0] * 9)
+    out = tmp_path / "report.json"
+    assert main(["detect", "--edges", two_clique_file, "--undirected",
+                 "--method", method, "--warm-start", warm,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: labels must put at least 2 nodes in each group\n")
+    assert not out.exists()
+    assert main(["moments", "--edges", two_clique_file, "--undirected",
+                 "--labels", warm]) == 3
+    assert capsys.readouterr().err == (
+        "error: labels must put at least 2 nodes in each group\n")
+
+
 def test_eval_outputs(tmp_path, capsys):
     t = write_labels(tmp_path, "t.labels", [1, 1, 0, 0])
     same = write_labels(tmp_path, "same.labels", [1, 1, 0, 0])
@@ -225,6 +247,63 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
     assert main(SIM_ARGS + ["--out", str(a)]) == 0
     assert main(SIM_ARGS + ["--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_worker_path_simulate_jobs_never_nest_workers(tmp_path, monkeypatch):
+    """With the fork gate below the graph size, ``simulate --jobs 2`` writes
+    the bytes of ``--jobs 1``, and its pool workers keep the serial path:
+    only the main process may fork candidate workers."""
+    honest = optimizer._workers_usable
+    log = tmp_path / "gate.log"
+
+    def logged(n_nodes):
+        usable = honest(n_nodes)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {usable}\n")
+        return usable
+
+    monkeypatch.setattr(optimizer, "_FORK_MIN_N", 10)
+    monkeypatch.setattr(optimizer, "_workers_usable", logged)
+    a = tmp_path / "serial.csv"
+    b = tmp_path / "parallel.csv"
+    assert main(SIM_ARGS + ["--out", str(a)]) == 0
+    here = log.read_text().split()
+    assert set(here[::2]) == {str(os.getpid())}
+    log.unlink()
+    assert main(SIM_ARGS + ["--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    if multiprocessing.get_start_method() == "fork":  # the patches reach the pool
+        pool = log.read_text().split()
+        assert str(os.getpid()) not in pool[::2]
+        assert set(pool[1::2]) == {"False"}
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_path_detect_prints_its_report_once(tmp_path, two_clique_file):
+    """Text still buffered for standard output when the workers fork is
+    written once: two ``detect`` runs in one process print two reports."""
+    code = ("import sys; from bicomm import optimizer; "
+            "from bicomm.cli import main; optimizer._FORK_MIN_N = 0; "
+            "argv = sys.argv[1:]; sys.exit(main(argv) or main(argv))")
+    env = {k: v for k, v in os.environ.items()  # stdout block-buffered
+           if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(optimizer.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "detect", "--edges", two_clique_file,
+         "--undirected", "--restarts", "2"],
+        capture_output=True, text=True, timeout=120,
+        env=env)
+    assert proc.returncode == 0, proc.stderr
+    decoder = json.JSONDecoder()
+    reports, rest = [], proc.stdout
+    while rest.strip():
+        report, end = decoder.raw_decode(rest.lstrip())
+        reports.append(report)
+        rest = rest.lstrip()[end:]
+    assert len(reports) == 2
+    for report in reports:
+        report.pop("runtime_ms")
+    assert reports[0] == reports[1]
 
 
 def test_simulate_parameter_validation(capsys):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -240,3 +242,127 @@ def test_no_dense_matrix_past_the_cutoff(n, share):
     finally:
         tracemalloc.stop()
     assert peak < share * n * n * 8
+
+
+# -- candidate workers ------------------------------------------------------
+# The worker-path tests force the fork gate open; on a host with one
+# available CPU the same tests run the serial fallback.
+
+@pytest.fixture
+def forked(monkeypatch):
+    monkeypatch.setattr(optimizer, "_FORK_MIN_N", 0)
+
+
+def circulant(n, offsets):
+    """Undirected regular graph: node i joined to i + k mod n for each k."""
+    return Graph(n, [(i, (i + k) % n) for i in range(n) for k in offsets],
+                 directed=False)
+
+
+def worker_cases():
+    rng = np.random.default_rng(21)
+    directed = sample_sbm(ConnectivityMatrix(0.5, 0.2, 0.25, 0.4), 15, 17,
+                          True, rng).graph
+    undirected = sample_sbm(ConnectivityMatrix(0.2, 0.5, 0.5, 0.3), 16, 14,
+                            False, rng).graph
+    warm = Partition(np.arange(directed.n_nodes) % 2)
+    return {
+        "directed": (directed, FitConfig(restarts=4, seed=7)),
+        "undirected": (undirected, FitConfig(restarts=4, seed=7)),
+        # a regular graph: R1 - R2 is fixed by the group sizes, so Z_d is
+        # degenerate
+        "degenerate-zd": (circulant(30, (1, 2, 5)), FitConfig(restarts=3)),
+        "warm-start": (directed, FitConfig(restarts=3, seed=2,
+                                           warm_start=warm)),
+    }
+
+
+def fit_fields(fits):
+    return {kind: (f.labels.labels.tobytes(), float(f.value).hex(),
+                   [float(v).hex() for v in f.restart_values],
+                   f.iterations, f.restart_iterations, f.degenerate,
+                   f.objective)
+            for kind, f in fits.items()}
+
+
+@pytest.mark.parametrize("case", ["directed", "undirected", "degenerate-zd",
+                                  "warm-start"])
+def test_worker_path_fits_match_serial(case, monkeypatch):
+    g, cfg = worker_cases()[case]
+    serial = fit_all_candidates(g, cfg)
+    monkeypatch.setattr(optimizer, "_FORK_MIN_N", 0)
+    forked = fit_all_candidates(g, cfg)
+    assert list(forked) == list(serial)
+    assert fit_fields(forked) == fit_fields(serial)
+    assert all(not f.labels.labels.flags.writeable for f in forked.values())
+    if case == "degenerate-zd":
+        assert forked["zd"].degenerate and not forked["zw-max"].degenerate
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_path_reraises_in_candidate_order(forked, monkeypatch):
+    """A worker's exception reaches the caller with its type and message;
+    of several, the first in candidate order wins, the caller's own
+    candidate included, and no worker outlives the call."""
+    g, cfg = worker_cases()["directed"]
+    honest = optimizer._lane_search
+
+    def failing(bad):
+        def search(g, objs, cfg):
+            for obj in objs:
+                if obj in bad:
+                    raise bad[obj]
+            return honest(g, objs, cfg)
+        return search
+
+    monkeypatch.setattr(optimizer, "_lane_search", failing({
+        Objective.ZW_MIN: KeyError("zw-min failed"),
+        Objective.ZD_MAX: ZeroDivisionError("zd failed")}))
+    with pytest.raises(KeyError, match="zw-min failed"):
+        fit_all_candidates(g, cfg)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(optimizer, "_lane_search", failing({
+        Objective.ZD_MAX: ZeroDivisionError("zd failed")}))
+    with pytest.raises(ZeroDivisionError, match="zd failed"):
+        fit_all_candidates(g, cfg)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(optimizer, "_lane_search", failing({
+        Objective.ZW_MAX: ValueError("zw-max failed"),
+        Objective.ZD_MAX: ZeroDivisionError("zd failed")}))
+    with pytest.raises(ValueError, match="zw-max failed"):
+        fit_all_candidates(g, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_path_reports_a_silent_worker_death(forked, monkeypatch):
+    g, cfg = worker_cases()["directed"]
+    honest = optimizer._lane_search
+
+    def dying(g, objs, cfg):
+        if objs == [Objective.ZD_MAX] and os.getpid() != caller:
+            os._exit(0)  # no result sent
+        return honest(g, objs, cfg)
+
+    caller = os.getpid()
+    monkeypatch.setattr(optimizer, "_lane_search", dying)
+    if optimizer._workers_usable(g.n_nodes):
+        with pytest.raises(RuntimeError, match="without a result"):
+            fit_all_candidates(g, cfg)
+    else:
+        fit_all_candidates(g, cfg)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="candidate workers need 2 available CPUs")
+def test_workers_run_in_their_own_processes(forked):
+    pids = optimizer._per_candidate(lambda _: os.getpid(), [0, 1, 2], 10)
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_gate_keeps_small_graphs_serial():
+    # the 100-node graphs of a simulation study stay on the joint search
+    assert not optimizer._workers_usable(100)
+    assert not optimizer._workers_usable(optimizer._FORK_MIN_N - 1)

@@ -1,16 +1,21 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from bicomm import optimizer, selection
 from bicomm.edgestats import within_counts
 from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, sample_dcsbm,
                               sample_sbm)
 from bicomm.graph import Graph
-from bicomm.optimizer import FitResult, fit_all_candidates, FitConfig
+from bicomm.optimizer import (CANDIDATE_KINDS, FitConfig, FitResult,
+                              fit_all_candidates)
 from bicomm.selection import (BlockEstimates, DegenerateError,
                               _argmax_in_order, gamma_sq,
                               gamma_tau_select, estimate_block_probs,
                               penalized_loglik, penalized_select, tau_sq,
                               theta_mle)
+from test_optimizer import worker_cases
 
 
 def two_triangles():
@@ -266,3 +271,45 @@ def test_clamp_events_counted():
     out = penalized_select(g, {k: same for k in ("zw-max", "zw-min", "zd")})
     # an empty graph clamps every pair probability up to eps, per candidate
     assert out.clamp_events == 3 * 10
+
+
+def selection_fields(out):
+    return (out.selected, out.tied, out.excluded, out.clamp_events,
+            {k: float(v).hex() for k, v in out.scores.pen_loglik.items()})
+
+
+@pytest.mark.parametrize("case", ["directed", "undirected", "degenerate-zd",
+                                  "warm-start", "tied"])
+def test_worker_path_selection_matches_serial(case, monkeypatch):
+    if case == "tied":
+        g, same = two_triangles(), make_fit([1, 1, 1, 0, 0, 0])
+        fits = {k: same for k in CANDIDATE_KINDS}
+    else:
+        g, cfg = worker_cases()[case]
+        fits = fit_all_candidates(g, cfg)
+    serial = [selection_fields(penalized_select(g, fits, lam))
+              for lam in (0.12, 0.0)]
+    monkeypatch.setattr(optimizer, "_FORK_MIN_N", 0)
+    forked = [selection_fields(penalized_select(g, fits, lam))
+              for lam in (0.12, 0.0)]
+    assert forked == serial
+    assert (case == "degenerate-zd") == (serial[0][2] == ("zd",))
+    assert (case == "tied") == serial[0][1]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_path_selection_reraises(monkeypatch):
+    g, cfg = worker_cases()["undirected"]
+    fits = fit_all_candidates(g, cfg)
+    honest = selection._penalized_details
+
+    def failing(g, x, lam, kind, layout=None):
+        if kind != "zw-max":
+            raise LookupError(f"{kind} failed")
+        return honest(g, x, lam, kind, layout)
+
+    monkeypatch.setattr(optimizer, "_FORK_MIN_N", 0)
+    monkeypatch.setattr(selection, "_penalized_details", failing)
+    with pytest.raises(LookupError, match="^zw-min failed$"):
+        penalized_select(g, fits)
+    assert multiprocessing.active_children() == []
