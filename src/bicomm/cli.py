@@ -362,10 +362,13 @@ def build_parser():
     return parser
 
 
+# built on the first call of main, not at import, and reused by later calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

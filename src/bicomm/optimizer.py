@@ -4,6 +4,7 @@ plus an exhaustive search for small-graph validation."""
 from __future__ import annotations
 
 import enum
+import math
 import multiprocessing
 import os
 import threading
@@ -25,18 +26,21 @@ _CHECK_EVERY = 100    # incremental bookkeeping audited against full recounts
 # as dense / CSR fit time: 0.78-0.99 at N 100-128 for mean incident degrees
 # 8-58; 0.97-1.03 at N 144-192 for degrees 10-16; 1.2-1.4 at N 200-256 for
 # degrees 24-38, where the O(N) row work per lane outgrows the fixed call
-# overhead of the CSR walk.  The matrix is 128 KB at the cutoff.
+# overhead of the CSR walk.  The matrix is 128 KB at the cutoff.  Above it
+# Z_d also leaves the lanes for ``_zd_by_degree``; below it a step is call
+# overhead that the lanes share (N = 100, 20 restarts: 11.8 ms joint against
+# 9.3 ms of Z_w lanes plus 3.3 ms by degree order).
 _DENSE_MAX_N = 128
 # From this many nodes up, fit_all_candidates and penalized_select work on
 # one candidate per process: the caller's own and two forked workers.
 # Measured on a 2-core host as forked / serial time of the fit plus the
-# penalized selection, medians of 5-7 alternating runs on directed and
-# undirected DCSBM graphs of mean degree 24: at 1 restart 1.1-3.2 for N
-# 200-1,500, 0.99-1.08 at N 2,000, 0.79-0.91 at N 3,000 and 0.71-0.75 at N
-# 4,000; at 20 restarts 1.5-1.9 at N 200, 0.62-0.87 at N 500, 0.61-0.65 at
-# N 1,000 and 0.45-0.48 at N 2,000.  A fork round costs 6-8 ms, and three
-# one-candidate searches each pay the per-step call overhead that the
-# joint search pays once, so the gate sits at the 1-restart crossover.
+# penalized selection, medians of 7-9 alternating runs on directed and
+# undirected DCSBM graphs of mean degree 24, with Z_d fitted by degree
+# order (about a tenth of a Z_w search): at 1 restart 1.24-1.97 at N
+# 1,000, 0.92-1.02 at N 1,500, 0.93-1.00 at N 2,000, 0.99-1.02 at N 2,500
+# and 0.80-0.82 at N 3,000.  A fork round costs 6-8 ms, and each
+# one-candidate Z_w search pays the per-step call overhead that the joint
+# search pays once, so the gate sits at the 1-restart crossover.
 _FORK_MIN_N = 2000
 
 
@@ -149,7 +153,9 @@ def _z_coefficients(objs, tables, n, min_group):
     This is the search's only coding of Z from counts (``edgestats._z``
     codes it for ``z_w``/``z_d``), and it matches that scalar coding bit for
     bit: IEEE arithmetic gives 1 R1 + (-1) R2 = R1 - R2 and
-    x / (-y) = -(x / y) exactly.
+    x / (-y) = -(x / y) exactly.  The degree-order Z_d search
+    (``_zd_by_degree``) reads mu, sd and the live mask (A = 1) of its ZD
+    block from here.
     Returns (A, B, mu, sd) and the per-objective C.
     """
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
@@ -182,7 +188,8 @@ def _z_at(coef, scale, slot, r1, r2):
 
 class _Lanes:
     """Search state of the lanes still running, one row per (objective,
-    restart) pair.
+    restart) pair.  On graphs above ``_DENSE_MAX_N`` nodes Z_d has no lanes
+    here: ``_zd_by_degree`` fits it.
 
     (L, N) rows: ``sg`` is +1 for a node labelled 0 and -1 for a node
     labelled 1, which is the change of m1 if the node flips; ``d1``/``d2``
@@ -342,19 +349,107 @@ class _Lanes:
         for i in range(self.running):
             lab = (self.sg[i] < 0).astype(np.int8)
             obj = self.objs[self.lane[i] // self.restarts]
-            fr1, fr2 = within_counts(self.g, lab)
-            fresh = _fresh_value(self.g, lab, obj, c)
-            cur = float(self.cur[i])
-            if ((fr1, fr2) != (self.r1[i], self.r2[i])
-                    or abs(fresh - cur) > 1e-9 * (1 + abs(cur))):
-                raise RuntimeError("incremental bookkeeping drifted from "
-                                   "the from-scratch objective")
+            r1, r2 = self.r1[i], self.r2[i]
+            _audit(self.g, lab, obj, c, float(self.cur[i]),
+                   lambda fr1, fr2: (fr1, fr2) == (r1, r2))
+
+
+def _audit(g, lab, obj, c, cur, counts_hold):
+    """Raise unless ``counts_hold(R1, R2)`` for a recount of ``lab`` and
+    ``cur`` is the from-scratch objective there."""
+    fresh = _fresh_value(g, lab, obj, c)
+    if (not counts_hold(*within_counts(g, lab))
+            or abs(fresh - cur) > 1e-9 * (1 + abs(cur))):
+        raise RuntimeError("incremental bookkeeping drifted from "
+                           "the from-scratch objective")
+
+
+def _zd_by_degree(g, starts, tables, c, min_group, max_iters):
+    """Fit ZD_MAX from each start by degree order, bit for bit as a lane of
+    ``_Lanes`` would; returns per start its final labels, value and flips.
+
+    R1 - R2 = T1 - |E|, with T1 the incident-edge total of group 1, so the
+    flip of node i moves D = R1 - R2 by +k_i into group 1 and by -k_i out
+    of it (k_i its incident edges, a reciprocal pair counting 2).  A flip's
+    value is ((T - mu) / sd) at the slot of its new group size, with T = D
+    +- k_i an exact integer, which is the lane kernel's
+    ((1 R1 + (-1) R2) / 1 - mu) / sd.  For |E| below 2^49, distinct T give
+    distinct values in the same order, so a side's best flip is its
+    highest-degree node of group 0 (slot m1 + 1) or its lowest-degree node
+    of group 1 (slot m1 - 1), the lower index among equal degrees, found
+    by one scan of the nodes sorted by (-k, index) or (k, index).  On a
+    slot that is not live every node of the side prices the same signed 0
+    or -inf, so the side offers its lowest-index node.  An exact tie of the
+    two sides goes to the lower node index, as the kernel's argmax does.
+    """
+    n = g.n_nodes
+    (a, _, mu, sd), _ = _z_coefficients([Objective.ZD_MAX], tables, n,
+                                        min_group)
+    live, mu, sd = (a != 0).tolist(), mu.tolist(), sd.tolist()
+
+    def value(slot, t):
+        # T only on a live slot: 0 - mu is +0.0 on a degenerate one (mu = 0,
+        # sd = 1) and -inf on one out of range (mu = +inf)
+        return ((t if live[slot] else 0) - mu[slot]) / sd[slot]
+
+    k = np.diff(g.incidence()[0])
+    nodes = np.arange(n)
+    down, up = np.lexsort((nodes, -k)), np.lexsort((nodes, k))
+    kl, down_l, up_l = k.tolist(), down.tolist(), up.tolist()
+    # each node's position in either order
+    at_down, at_up = np.argsort(down).tolist(), np.argsort(up).tolist()
+
+    out = []
+    for start in starts:
+        # the labels in node order and in both degree orders
+        lab = bytearray(start.tobytes())
+        lab_down = bytearray(start[down].tobytes())
+        lab_up = bytearray(start[up].tobytes())
+        m1 = lab.count(1)
+        d = int(k[start == 1].sum()) - g.n_edges
+        cur = value(m1 + 1, d)  # slot 1 + m holds group size m
+        iters = 0
+        while iters < max_iters:
+            sa, sr = m1 + 2, m1
+            add = down_l[lab_down.find(0)] if live[sa] else lab.find(0)
+            rem = up_l[lab_up.find(1)] if live[sr] else lab.find(1)
+            va, vr = value(sa, d + kl[add]), value(sr, d - kl[rem])
+            if va > vr or (va == vr and add < rem):
+                best, v, step = add, va, 1
+            else:
+                best, v, step = rem, vr, -1
+            if not (math.isfinite(v) and v > cur + _IMPROVE_EPS):
+                break
+            d += step * kl[best]
+            m1 += step
+            cur = v
+            lab[best] ^= 1
+            lab_down[at_down[best]] ^= 1
+            lab_up[at_up[best]] ^= 1
+            iters += 1
+            if iters % _CHECK_EVERY == 0:
+                _audit(g, np.frombuffer(lab, dtype=np.int8).copy(),
+                       Objective.ZD_MAX, c, cur,
+                       lambda fr1, fr2: fr1 - fr2 == d)
+        out.append((np.frombuffer(lab, dtype=np.int8).copy(), cur, iters))
+    return out
+
+
+def _best_restart(obj, labs, vals, iters):
+    """FitResult of the restarts' final labels, values and flip counts."""
+    best = int(np.argmax(vals))  # the first restart reaching the max
+    return FitResult(labels=Partition(labs[best]), value=float(vals[best]),
+                     restart_values=[float(v) for v in vals],
+                     iterations=int(sum(iters)),
+                     restart_iterations=[int(i) for i in iters],
+                     degenerate=False, objective=obj)
 
 
 def _lane_search(g, objs, cfg):
     """Fit each objective in ``objs`` (all of the Z family, or one
     modularity objective) with cfg.restarts lanes apiece, all advancing in
-    one loop; returns the FitResults in ``objs`` order."""
+    one loop, but Z_d by degree order above ``_DENSE_MAX_N`` nodes; returns
+    the FitResults in ``objs`` order."""
     n = g.n_nodes
     if n < 2 * cfg.min_group + 1:
         raise ValueError(
@@ -386,6 +481,10 @@ def _lane_search(g, objs, cfg):
                 restart_iterations=[0] * cfg.restarts, degenerate=True,
                 objective=obj)
     live = [obj for obj in objs if obj not in results]
+    if n > _DENSE_MAX_N and Objective.ZD_MAX in live:
+        live.remove(Objective.ZD_MAX)
+        results[Objective.ZD_MAX] = _best_restart(Objective.ZD_MAX, *zip(
+            *_zd_by_degree(g, starts, tables, c, cfg.min_group, max_iters)))
     if not live:
         return [results[obj] for obj in objs]
 
@@ -408,18 +507,10 @@ def _lane_search(g, objs, cfg):
     if lanes.running:  # the lanes that reached max_iters
         lanes.stop(np.ones(lanes.running, dtype=bool), iters)
 
-    r_count = cfg.restarts
     for k, obj in enumerate(live):
-        vals = lanes.out_val[k * r_count:(k + 1) * r_count]
-        its = lanes.out_iters[k * r_count:(k + 1) * r_count]
-        best = int(np.argmax(vals))  # the first restart reaching the max
-        results[obj] = FitResult(
-            labels=Partition(lanes.out_lab[k * r_count + best]),
-            value=float(vals[best]),
-            restart_values=[float(v) for v in vals],
-            iterations=int(its.sum()),
-            restart_iterations=[int(i) for i in its],
-            degenerate=False, objective=obj)
+        rows = slice(k * cfg.restarts, (k + 1) * cfg.restarts)
+        results[obj] = _best_restart(obj, lanes.out_lab[rows],
+                                     lanes.out_val[rows], lanes.out_iters[rows])
     return [results[obj] for obj in objs]
 
 
@@ -431,8 +522,11 @@ def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitRes
     to the lowest node index), and stops at a local optimum.  The restarts
     run as lanes of one search that advance together, one flip each per
     step; for a given seed the result equals that of running the restarts
-    one after another.  The best terminal partition across restarts is
-    returned (the first restart reaching it).
+    one after another.  On graphs above ``_DENSE_MAX_N`` nodes Z_d is
+    instead searched restart by restart in degree order, where a step
+    compares two candidate flips (``_zd_by_degree``), with the same result.
+    The best terminal partition across restarts is returned (the first
+    restart reaching it).
     """
     cfg = cfg if cfg is not None else FitConfig()
     return _lane_search(g, [obj], cfg)[0]
@@ -600,8 +694,9 @@ def fit_all_candidates(g: Graph, cfg: FitConfig | None = None) -> dict[str, FitR
     config, bit for bit.  On a graph of at least ``_FORK_MIN_N`` nodes, with
     2 or more CPUs available, each candidate is fitted in a process of its
     own (see ``_per_candidate``); otherwise all restarts of all three run as
-    the 3 x restarts lanes of one search, on one set of graph constants and
-    moment tables.
+    one ``_lane_search``, on one set of graph constants and moment tables:
+    3 x restarts lanes, or 2 x restarts with Z_d by degree order above
+    ``_DENSE_MAX_N`` nodes.
     """
     cfg = cfg if cfg is not None else FitConfig()
     objs = [Objective(kind) for kind in CANDIDATE_KINDS]

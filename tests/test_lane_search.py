@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomm import optimizer
+from bicomm.edgestats import z_d
 from bicomm.graph import Graph
 from bicomm.optimizer import (_Z_FAMILY, CANDIDATE_KINDS, FitConfig, Objective,
                               fit_all_candidates, greedy_fit)
@@ -101,3 +102,55 @@ def test_fit_all_candidates_matches_reference(case):
         fits = fit_all_candidates(g, cfg)
         for kind in CANDIDATE_KINDS:
             assert_same_fit(fits[kind], want[kind])
+
+
+# The slots m1 + 1 and m1 - 1 of an N/2 split have equal sd and opposite
+# mu, so the best add and the best removal tie exactly when their degrees
+# sum to 4|E| / N.  Both graphs below are undirected with N = 8, from the
+# same warm start: in the first the add (node 5) has the lower index, in
+# the second the removal (node 1).
+TIE_START = [0, 1, 1, 1, 0, 0, 0, 1]
+TIE_CASES = {
+    "add-lower": ([(0, 6), (1, 3), (1, 5), (2, 3), (3, 5), (5, 6)], 5, 7),
+    "removal-lower": ([(0, 3), (0, 5), (1, 4), (2, 3), (3, 4), (3, 7),
+                       (4, 7), (5, 7)], 4, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+@pytest.mark.parametrize("max_iters", [1, None])
+def test_zd_cross_side_tie_goes_to_the_lower_index(case, max_iters):
+    edges, add, rem = TIE_CASES[case]
+    g = Graph(8, edges, directed=False)
+    start = np.array(TIE_START, dtype=np.int8)
+
+    def flipped(i):
+        lab = start.copy()
+        lab[i] ^= 1
+        return lab
+
+    values = [z_d(g, flipped(i)) for i in range(8)]
+    best = max(values)
+    assert best > z_d(g, start)
+    # the best flips of each side, lowest index first
+    tied = [i for i in range(8) if values[i] == best]
+    assert min(i for i in tied if start[i] == 0) == add
+    assert min(i for i in tied if start[i] == 1) == rem
+    cfg = FitConfig(restarts=1, warm_start=start, max_iters=max_iters)
+    want = reference_greedy_fit(g, Objective.ZD_MAX, cfg)
+    for _ in both_forms(g):
+        assert_same_fit(greedy_fit(g, Objective.ZD_MAX, cfg), want)
+
+
+def test_zd_by_degree_order_on_a_large_graph():
+    """One restart on a sparse directed graph of 2,500 nodes, long enough
+    for the periodic audit to fire: degree order, then the lane kernel."""
+    n = 2500
+    rng = np.random.default_rng(2500)
+    e = rng.integers(0, n, size=(4 * n, 2))
+    g = Graph(n, np.unique(e[e[:, 0] != e[:, 1]], axis=0), directed=True)
+    cfg = FitConfig(restarts=1, seed=4)
+    fit = greedy_fit(g, Objective.ZD_MAX, cfg)
+    assert fit.iterations > optimizer._CHECK_EVERY
+    with mock.patch.object(optimizer, "_DENSE_MAX_N", n):
+        assert_same_fit(fit, greedy_fit(g, Objective.ZD_MAX, cfg))
