@@ -206,12 +206,18 @@ def _z(g, x, c, within):
         raise ValueError("Z statistics need both groups of size >= 2")
     if c is None:
         c = graph_constants(g)
-    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(c, m_x, n_x)
     r1, _, _, r2 = _block_counts(g, lab)
+    return _z_from_counts(c, m_x, n_x, r1, r2, within)
+
+
+def _z_from_counts(c, m_x, n_x, r1, r2, within):
+    """Z_w (``within``) or Z_d of a labeling with group sizes m_x, n_x and
+    within counts R1, R2."""
+    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(c, m_x, n_x)
     if within:
         if deg_w:
             return 0.0
-        return (_r_w(lab.size, m_x, r1, r2) - mu_w) / math.sqrt(var_w)
+        return (_r_w(m_x + n_x, m_x, r1, r2) - mu_w) / math.sqrt(var_w)
     if deg_d:
         return 0.0
     return (r1 - r2 - mu_d) / math.sqrt(var_d)

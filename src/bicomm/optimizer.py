@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edgestats import (Partition, _degree_group_sums, _q_values, as_labels,
-                        modularity_q, moment_arrays, q_d, within_counts, z_d,
-                        z_w)
+from .edgestats import (Partition, _degree_group_sums, _q_values,
+                        _z_from_counts, as_labels, modularity_q,
+                        moment_arrays, q_d, within_counts)
 from .graph import Graph, _edge_keys, graph_constants
 
 _IMPROVE_EPS = 1e-12  # strict improvement threshold: no cycling on plateaus
@@ -27,21 +27,43 @@ _CHECK_EVERY = 100    # incremental bookkeeping audited against full recounts
 # 8-58; 0.97-1.03 at N 144-192 for degrees 10-16; 1.2-1.4 at N 200-256 for
 # degrees 24-38, where the O(N) row work per lane outgrows the fixed call
 # overhead of the CSR walk.  The matrix is 128 KB at the cutoff.  Above it
-# Z_d also leaves the lanes for ``_zd_by_degree``; below it a step is call
-# overhead that the lanes share (N = 100, 20 restarts: 11.8 ms joint against
-# 9.3 ms of Z_w lanes plus 3.3 ms by degree order).
+# Z_d also leaves the lanes for ``_z_by_restart`` (by degree order); below
+# it a step is call overhead that the lanes share (N = 100, 20 restarts:
+# 11.8 ms joint against 9.3 ms of Z_w lanes plus 3.3 ms by degree order).
 _DENSE_MAX_N = 128
 # From this many nodes up, fit_all_candidates and penalized_select work on
 # one candidate per process: the caller's own and two forked workers.
 # Measured on a 2-core host as forked / serial time of the fit plus the
-# penalized selection, medians of 7-9 alternating runs on directed and
-# undirected DCSBM graphs of mean degree 24, with Z_d fitted by degree
-# order (about a tenth of a Z_w search): at 1 restart 1.24-1.97 at N
-# 1,000, 0.92-1.02 at N 1,500, 0.93-1.00 at N 2,000, 0.99-1.02 at N 2,500
-# and 0.80-0.82 at N 3,000.  A fork round costs 6-8 ms, and each
-# one-candidate Z_w search pays the per-step call overhead that the joint
-# search pays once, so the gate sits at the 1-restart crossover.
+# penalized selection, medians of alternating runs on two directed DCSBM
+# graphs of mean degree 24, with Z_d by degree order and Z_w on flip keys
+# (``_SERIAL_MIN_N``): at 1 restart (7 runs) 2.68-2.71 at N 1,000,
+# 1.26-1.30 at N 1,500, 1.02-1.11 at N 2,000, 0.85-0.90 at N 2,500,
+# 0.65-0.75 at N 3,000 and 0.64-0.72 at N 4,000; at 20 restarts (3 runs)
+# 0.71-1.31 at N 1,000, 0.51-0.74 at N 1,500, 0.52-0.65 at N 2,000 and
+# 0.54-0.61 at N 2,500.  A fork round costs 6-8 ms.  The gate was set at
+# the 1-restart crossover, which has since moved to between 2,000 and
+# 2,500 nodes; it stays at 2,000, where forking loses at most a tenth at
+# 1 restart and saves about 40% at the default 20.
 _FORK_MIN_N = 2000
+# From this many nodes up, Z_w is fitted restart by restart on exact integer
+# flip keys (``_FlipKeys``) instead of as lanes.  A step there costs a few
+# O(N) numpy calls whatever the restart count, while a lane step shares its
+# calls among all lanes, so the gate sits at the 20-restart crossover.
+# Measured on a 2-core host as restart-by-restart / joint-lane time of
+# fitting zw-max and zw-min, medians of 5 alternating runs on two DCSBM
+# graphs each: 1.72-1.76 at N 250, 0.97-1.19 at N 500, 0.90-1.04 at N 600
+# and 0.69-0.98 at N 750 (mean degree 6 or 24, directed or undirected),
+# 0.58-0.59 at N 1,000 (directed, mean degree 24).  At 1 restart it wins
+# at every size.  Serial fit_all_candidates, new / old time on directed
+# graphs of mean degree 24: 0.35-0.36 at N 750, 0.29-0.36 at N 1,000-2,000
+# and 0.26 at N 4,000 at 1 restart; 0.82-0.84 at N 750, 0.61-0.69 at
+# N 1,000, 0.52-0.58 at N 1,500, 0.34-0.46 at N 2,000 and 0.32-0.35 at
+# N 4,000 at 20 restarts (N 500 runs the same code as before).
+_SERIAL_MIN_N = 750
+# The restart-by-restart Z search needs N |E| below this for its integer T
+# to order the float values exactly (see ``_z_by_restart``); larger graphs
+# take the lanes.
+_KEY_MAX = 1 << 49
 
 
 class Objective(enum.Enum):
@@ -110,20 +132,6 @@ class FitResult:
     restart_iterations: list[int] = field(default_factory=list)
 
 
-def _fresh_value(g, lab, obj, c):
-    """From-scratch objective evaluation (used for bookkeeping audits and
-    the returned value's final verification)."""
-    if obj is Objective.ZW_MAX:
-        return z_w(g, lab, c)
-    if obj is Objective.ZW_MIN:
-        return -z_w(g, lab, c)
-    if obj is Objective.ZD_MAX:
-        return z_d(g, lab, c)
-    if obj is Objective.Q_MAX:
-        return modularity_q(g, lab)
-    return q_d(g, lab)
-
-
 def _random_valid_labels(rng, n, min_group):
     # fair-coin labels, rejection-resampled until both groups are big enough
     while True:
@@ -150,12 +158,13 @@ def _z_coefficients(objs, tables, n, min_group):
     A = 1, B = -1, C = 1; ZW_MIN divides by -sd.  A degenerate size gets
     A = B = mu = 0 and sd = +-1, so the value is a signed 0, and a size
     outside [min_group, N - min_group] gets mu = +inf, so the value is -inf.
-    This is the search's only coding of Z from counts (``edgestats._z``
-    codes it for ``z_w``/``z_d``), and it matches that scalar coding bit for
-    bit: IEEE arithmetic gives 1 R1 + (-1) R2 = R1 - R2 and
-    x / (-y) = -(x / y) exactly.  The degree-order Z_d search
-    (``_zd_by_degree``) reads mu, sd and the live mask (A = 1) of its ZD
-    block from here.
+    This is the search's only coding of Z from counts
+    (``edgestats._z_from_counts`` codes it for ``z_w``/``z_d`` and the
+    audits), and it matches that scalar coding bit for bit: IEEE arithmetic
+    gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly.  The
+    lanes price every flip from these tables, and the restart-by-restart
+    search (``_z_by_restart``) prices its two candidate flips per step from
+    the same A, B, mu and sd, with its live mask where A != 0.
     Returns (A, B, mu, sd) and the per-objective C.
     """
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
@@ -188,8 +197,9 @@ def _z_at(coef, scale, slot, r1, r2):
 
 class _Lanes:
     """Search state of the lanes still running, one row per (objective,
-    restart) pair.  On graphs above ``_DENSE_MAX_N`` nodes Z_d has no lanes
-    here: ``_zd_by_degree`` fits it.
+    restart) pair.  Only the objectives that ``_by_restart`` leaves here
+    have lanes: the modularity objectives always, Z_d up to
+    ``_DENSE_MAX_N`` nodes and Z_w below ``_SERIAL_MIN_N``.
 
     (L, N) rows: ``sg`` is +1 for a node labelled 0 and -1 for a node
     labelled 1, which is the change of m1 if the node flips; ``d1``/``d2``
@@ -356,81 +366,218 @@ class _Lanes:
 
 def _audit(g, lab, obj, c, cur, counts_hold):
     """Raise unless ``counts_hold(R1, R2)`` for a recount of ``lab`` and
-    ``cur`` is the from-scratch objective there."""
-    fresh = _fresh_value(g, lab, obj, c)
-    if (not counts_hold(*within_counts(g, lab))
+    ``cur`` is the from-scratch objective there.  A Z objective is scored
+    from that one recount."""
+    r1, r2 = within_counts(g, lab)
+    if obj in _Z_FAMILY:
+        m_x = int(np.count_nonzero(lab))
+        fresh = _z_from_counts(c, m_x, lab.size - m_x, r1, r2,
+                               obj is not Objective.ZD_MAX)
+        fresh = -fresh if obj is Objective.ZW_MIN else fresh
+    else:
+        fresh = modularity_q(g, lab) if obj is Objective.Q_MAX else q_d(g, lab)
+    if (not counts_hold(r1, r2)
             or abs(fresh - cur) > 1e-9 * (1 + abs(cur))):
         raise RuntimeError("incremental bookkeeping drifted from "
                            "the from-scratch objective")
 
 
-def _zd_by_degree(g, starts, tables, c, min_group, max_iters):
-    """Fit ZD_MAX from each start by degree order, bit for bit as a lane of
-    ``_Lanes`` would; returns per start its final labels, value and flips.
+class _DegreeOrder:
+    """Z_d's best flip of each side, for ``_z_by_restart``.
 
     R1 - R2 = T1 - |E|, with T1 the incident-edge total of group 1, so the
     flip of node i moves D = R1 - R2 by +k_i into group 1 and by -k_i out
-    of it (k_i its incident edges, a reciprocal pair counting 2).  A flip's
-    value is ((T - mu) / sd) at the slot of its new group size, with T = D
-    +- k_i an exact integer, which is the lane kernel's
-    ((1 R1 + (-1) R2) / 1 - mu) / sd.  For |E| below 2^49, distinct T give
-    distinct values in the same order, so a side's best flip is its
-    highest-degree node of group 0 (slot m1 + 1) or its lowest-degree node
-    of group 1 (slot m1 - 1), the lower index among equal degrees, found
-    by one scan of the nodes sorted by (-k, index) or (k, index).  On a
-    slot that is not live every node of the side prices the same signed 0
+    of it (k_i its incident edges, a reciprocal pair counting 2), and
+    T = D +- k_i.  The best add is group 0's highest-degree node, the best
+    removal group 1's lowest-degree node, the lower index among equal
+    degrees: the first node of the side in the order (-k, index) or
+    (k, index), found by one scan of the labels kept in that order.
+    """
+
+    def __init__(self, g):
+        k = np.diff(g.incidence()[0])
+        nodes = np.arange(g.n_nodes)
+        # side 0 (adds) scans by falling degree, side 1 (removals) by rising
+        self.orders = (np.lexsort((nodes, -k)), np.lexsort((nodes, k)))
+        self.sorted = [order.tolist() for order in self.orders]
+        # each node's position in either order
+        self.at = [np.argsort(order).tolist() for order in self.orders]
+        self.k, self.kl, self.n_edges = k, k.tolist(), g.n_edges
+        self.after = [None, None]  # D after each side's priced flip
+
+    def restart(self, start):
+        self.labs = [bytearray(start[order].tobytes()) for order in self.orders]
+        self.d = int(self.k[start == 1].sum()) - self.n_edges
+
+    def t(self, slot):
+        return self.d  # A = 1, B = -1 on every live slot
+
+    def best(self, side):
+        return self.sorted[side][self.labs[side].find(side)]
+
+    def price(self, i, side, slot):
+        self.after[side] = self.d + (-1 if side else 1) * self.kl[i]
+        return self.after[side]
+
+    def flip(self, i, side):
+        self.d = self.after[side]
+        for lab, at in zip(self.labs, self.at):
+            lab[at[i]] ^= 1
+
+    def holds(self, r1, r2):
+        return r1 - r2 == self.d
+
+
+# A node's key on the side it is not on: below every real key, whose size
+# is at most 2 N |E| < 2^50 under ``_KEY_MAX``, and far from int64 overflow.
+_MASKED = -(1 << 62)
+
+
+class _FlipKeys:
+    """Z_w's best flip of each side, for ``_z_by_restart``.
+
+    With w1_i the incident edges of node i whose other end is labelled 1
+    and k_i all of them (a reciprocal pair counting 2), the T of node i's
+    flip is a constant of the step plus (N - 2) w1_i - m1 k_i for an add
+    (A = N - m1 - 2, B = m1) and (m1 - 2) k_i - (N - 2) w1_i for a removal
+    (A = N - m1, B = m1 - 2), since A + B = N - 2.  Times s, which is -1
+    for ZW_MIN (whose sd is negated) and +1 for ZW_MAX, these are the
+    side's exact int64 keys, and the value rises with the key.  ``u`` holds
+    s ((N - 2) w1 - m1 k) for every node: the add keys are u and the
+    removal keys -u - 2 s k, the other side's nodes masked to ``_MASKED``,
+    and a side's best is the first argmax, the lowest index among equal
+    keys.  A flip moves u by s (N - 2) at each incident entry of the node
+    (``np.add.at`` counts a repeated entry each time) and by -s k for the
+    change of m1.  The winners are priced from R1, R2 and w1_i =
+    (s u_i + m1 k_i) / (N - 2), in the kernel's operation order.
+    """
+
+    def __init__(self, g, a, b, sign):
+        self.indptr, self.indices = g.incidence()
+        self.k = np.diff(self.indptr)
+        self.a, self.b, self.s, self.p = a, b, sign, g.n_nodes - 2
+        self.kl, self.sk = self.k.tolist(), sign * self.k
+        self.ptr = self.indptr.tolist()
+        self.keys = np.empty(g.n_nodes, dtype=np.int64)
+        self.after = [None, None]  # R1, R2 after each side's priced flip
+
+    def restart(self, start):
+        # w1 from a running count of the incident entries labelled 1, summed
+        # in place: no O(|E|) temporary beside the one buffer
+        in1 = np.zeros(self.indices.size + 1, dtype=np.int64)
+        in1[1:] = start[self.indices]
+        np.cumsum(in1, out=in1)
+        w1 = in1[self.indptr[1:]] - in1[self.indptr[:-1]]
+        is1 = start == 1
+        self.m1 = int(np.count_nonzero(is1))
+        self.r1 = int(w1[is1].sum()) // 2
+        self.r2 = int((self.k - w1)[~is1].sum()) // 2
+        self.u = self.s * self.p * w1 - self.m1 * self.sk
+        # the add and removal keys are u + off[0] and off[1] - u
+        self.off = (np.where(is1, _MASKED, 0),
+                    np.where(is1, -2 * self.sk, _MASKED))
+
+    def t(self, slot):
+        return self.a[slot] * self.r1 + self.b[slot] * self.r2
+
+    def best(self, side):
+        if side:
+            return int(np.subtract(self.off[1], self.u, out=self.keys).argmax())
+        return int(np.add(self.u, self.off[0], out=self.keys).argmax())
+
+    def price(self, i, side, slot):
+        k = self.kl[i]
+        w1 = (self.s * int(self.u[i]) + self.m1 * k) // self.p
+        if side:
+            r1, r2 = self.r1 - w1, self.r2 + k - w1
+        else:
+            r1, r2 = self.r1 + w1, self.r2 - k + w1
+        self.after[side] = r1, r2
+        return self.a[slot] * r1 + self.b[slot] * r2
+
+    def flip(self, i, side):
+        step = -1 if side else 1
+        self.r1, self.r2 = self.after[side]
+        self.m1 += step
+        np.add.at(self.u, self.indices[self.ptr[i]:self.ptr[i + 1]],
+                  step * self.s * self.p)
+        if side:
+            self.u += self.sk
+            self.off[0][i], self.off[1][i] = 0, _MASKED
+        else:
+            self.u -= self.sk
+            self.off[0][i], self.off[1][i] = _MASKED, -2 * int(self.sk[i])
+
+    def holds(self, r1, r2):
+        return (r1, r2) == (self.r1, self.r2)
+
+
+def _z_by_restart(g, obj, starts, tables, c, min_group, max_iters):
+    """Fit a Z objective from each start, one restart after another, bit
+    for bit as a lane of ``_Lanes`` would; returns per start its final
+    labels, value and flips.
+
+    A step takes the best flip into group 1 (new size m1 + 1) and the best
+    out of it (m1 - 1), each chosen by the objective's side object
+    (``_DegreeOrder`` for Z_d, ``_FlipKeys`` for Z_w) on an exact integer
+    T = A R1' + B R2' of the counts after the flip.  A flip's value is
+    ((T / C - mu) / sd) at the slot of its new size, with A, B, C, mu and
+    sd from ``_z_coefficients``: the lane kernel's operations on the same
+    numbers, T being below 2^53 and so exact.  Within a side, distinct T
+    give distinct values in the same order (the reverse for ZW_MIN's
+    negative sd): each of the three rounded operations errs by at most
+    2^-53 of its result, and with |T| <= (N - 2)|E|, |T / C| <= |E| and
+    |mu| <= |E| the errors stay below the gap of 1 / C between two T while
+    10 (N - 2)|E| < 2^53, which N |E| < ``_KEY_MAX`` = 2^49 ensures.  So a
+    side's best flip is its highest T, the lowest index among equal T.  On
+    a slot that is not live every node of the side prices the same signed 0
     or -inf, so the side offers its lowest-index node.  An exact tie of the
     two sides goes to the lower node index, as the kernel's argmax does.
+    The stop rule (``_IMPROVE_EPS``), ``max_iters`` and the
+    ``_CHECK_EVERY`` audit are the lanes'; ``_lane_search`` draws the starts
+    (warm start included) and settles all-degenerate objectives first.
     """
     n = g.n_nodes
-    (a, _, mu, sd), _ = _z_coefficients([Objective.ZD_MAX], tables, n,
-                                        min_group)
-    live, mu, sd = (a != 0).tolist(), mu.tolist(), sd.tolist()
+    (a, b, mu, sd), (scale,) = _z_coefficients([obj], tables, n, min_group)
+    live, scale = (a != 0).tolist(), float(scale)
+    a, b, mu, sd = a.tolist(), b.tolist(), mu.tolist(), sd.tolist()
+    if obj is Objective.ZD_MAX:
+        keys = _DegreeOrder(g)
+    else:
+        keys = _FlipKeys(g, a, b, -1 if obj is Objective.ZW_MIN else 1)
 
     def value(slot, t):
-        # T only on a live slot: 0 - mu is +0.0 on a degenerate one (mu = 0,
-        # sd = 1) and -inf on one out of range (mu = +inf)
-        return ((t if live[slot] else 0) - mu[slot]) / sd[slot]
-
-    k = np.diff(g.incidence()[0])
-    nodes = np.arange(n)
-    down, up = np.lexsort((nodes, -k)), np.lexsort((nodes, k))
-    kl, down_l, up_l = k.tolist(), down.tolist(), up.tolist()
-    # each node's position in either order
-    at_down, at_up = np.argsort(down).tolist(), np.argsort(up).tolist()
+        # T only on a live slot: 0 / C - mu is +0.0 on a degenerate one
+        # (mu = 0, sd = +-1) and -inf on one out of range (mu = +inf)
+        return ((t if live[slot] else 0) / scale - mu[slot]) / sd[slot]
 
     out = []
     for start in starts:
-        # the labels in node order and in both degree orders
         lab = bytearray(start.tobytes())
-        lab_down = bytearray(start[down].tobytes())
-        lab_up = bytearray(start[up].tobytes())
         m1 = lab.count(1)
-        d = int(k[start == 1].sum()) - g.n_edges
-        cur = value(m1 + 1, d)  # slot 1 + m holds group size m
+        keys.restart(start)
+        cur = value(m1 + 1, keys.t(m1 + 1))  # slot 1 + m holds group size m
         iters = 0
         while iters < max_iters:
             sa, sr = m1 + 2, m1
-            add = down_l[lab_down.find(0)] if live[sa] else lab.find(0)
-            rem = up_l[lab_up.find(1)] if live[sr] else lab.find(1)
-            va, vr = value(sa, d + kl[add]), value(sr, d - kl[rem])
+            add = keys.best(0) if live[sa] else lab.find(0)
+            rem = keys.best(1) if live[sr] else lab.find(1)
+            va = value(sa, keys.price(add, 0, sa))
+            vr = value(sr, keys.price(rem, 1, sr))
             if va > vr or (va == vr and add < rem):
-                best, v, step = add, va, 1
+                best, v, side = add, va, 0
             else:
-                best, v, step = rem, vr, -1
+                best, v, side = rem, vr, 1
             if not (math.isfinite(v) and v > cur + _IMPROVE_EPS):
                 break
-            d += step * kl[best]
-            m1 += step
+            keys.flip(best, side)
+            m1 += -1 if side else 1
             cur = v
             lab[best] ^= 1
-            lab_down[at_down[best]] ^= 1
-            lab_up[at_up[best]] ^= 1
             iters += 1
             if iters % _CHECK_EVERY == 0:
-                _audit(g, np.frombuffer(lab, dtype=np.int8).copy(),
-                       Objective.ZD_MAX, c, cur,
-                       lambda fr1, fr2: fr1 - fr2 == d)
+                _audit(g, np.frombuffer(lab, dtype=np.int8).copy(), obj, c,
+                       cur, keys.holds)
         out.append((np.frombuffer(lab, dtype=np.int8).copy(), cur, iters))
     return out
 
@@ -445,11 +592,24 @@ def _best_restart(obj, labs, vals, iters):
                      degenerate=False, objective=obj)
 
 
+def _by_restart(g, obj):
+    """Whether ``_lane_search`` fits ``obj`` by ``_z_by_restart``: Z_d above
+    ``_DENSE_MAX_N`` nodes and Z_w from ``_SERIAL_MIN_N`` up, on graphs
+    whose N |E| is below ``_KEY_MAX``."""
+    if obj not in _Z_FAMILY or g.n_nodes * g.n_edges >= _KEY_MAX:
+        return False
+    if obj is Objective.ZD_MAX:
+        return g.n_nodes > _DENSE_MAX_N
+    return g.n_nodes >= _SERIAL_MIN_N
+
+
 def _lane_search(g, objs, cfg):
     """Fit each objective in ``objs`` (all of the Z family, or one
     modularity objective) with cfg.restarts lanes apiece, all advancing in
-    one loop, but Z_d by degree order above ``_DENSE_MAX_N`` nodes; returns
-    the FitResults in ``objs`` order."""
+    one loop, except the Z objectives that ``_by_restart`` picks (Z_d above
+    ``_DENSE_MAX_N`` nodes, Z_w from ``_SERIAL_MIN_N``), which
+    ``_z_by_restart`` fits restart by restart; returns the FitResults in
+    ``objs`` order."""
     n = g.n_nodes
     if n < 2 * cfg.min_group + 1:
         raise ValueError(
@@ -472,7 +632,7 @@ def _lane_search(g, objs, cfg):
                                    cfg.min_group)
               for r in range(cfg.restarts)]
 
-    results = {}
+    results, live = {}, []
     for obj in objs:
         if tables is not None and _all_degenerate(obj, tables, n, cfg.min_group):
             results[obj] = FitResult(
@@ -480,11 +640,11 @@ def _lane_search(g, objs, cfg):
                 restart_values=[0.0] * cfg.restarts, iterations=0,
                 restart_iterations=[0] * cfg.restarts, degenerate=True,
                 objective=obj)
-    live = [obj for obj in objs if obj not in results]
-    if n > _DENSE_MAX_N and Objective.ZD_MAX in live:
-        live.remove(Objective.ZD_MAX)
-        results[Objective.ZD_MAX] = _best_restart(Objective.ZD_MAX, *zip(
-            *_zd_by_degree(g, starts, tables, c, cfg.min_group, max_iters)))
+        elif _by_restart(g, obj):
+            results[obj] = _best_restart(obj, *zip(*_z_by_restart(
+                g, obj, starts, tables, c, cfg.min_group, max_iters)))
+        else:
+            live.append(obj)
     if not live:
         return [results[obj] for obj in objs]
 
@@ -522,11 +682,12 @@ def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitRes
     to the lowest node index), and stops at a local optimum.  The restarts
     run as lanes of one search that advance together, one flip each per
     step; for a given seed the result equals that of running the restarts
-    one after another.  On graphs above ``_DENSE_MAX_N`` nodes Z_d is
-    instead searched restart by restart in degree order, where a step
-    compares two candidate flips (``_zd_by_degree``), with the same result.
-    The best terminal partition across restarts is returned (the first
-    restart reaching it).
+    one after another.  The Z objectives on larger graphs (Z_d above
+    ``_DENSE_MAX_N`` nodes, Z_w from ``_SERIAL_MIN_N``) are instead searched
+    restart by restart, where a step finds the best add and the best
+    removal on exact integer keys and compares those two flips
+    (``_z_by_restart``), with the same result.  The best terminal partition
+    across restarts is returned (the first restart reaching it).
     """
     cfg = cfg if cfg is not None else FitConfig()
     return _lane_search(g, [obj], cfg)[0]
@@ -693,10 +854,11 @@ def fit_all_candidates(g: Graph, cfg: FitConfig | None = None) -> dict[str, FitR
     Each result equals ``greedy_fit`` of that candidate with the same
     config, bit for bit.  On a graph of at least ``_FORK_MIN_N`` nodes, with
     2 or more CPUs available, each candidate is fitted in a process of its
-    own (see ``_per_candidate``); otherwise all restarts of all three run as
-    one ``_lane_search``, on one set of graph constants and moment tables:
-    3 x restarts lanes, or 2 x restarts with Z_d by degree order above
-    ``_DENSE_MAX_N`` nodes.
+    own (see ``_per_candidate``); otherwise all three run in one
+    ``_lane_search``, on one set of graph constants and moment tables: as
+    3 x restarts lanes up to ``_DENSE_MAX_N`` nodes, then with Z_d
+    restart by restart beside 2 x restarts Z_w lanes, and from
+    ``_SERIAL_MIN_N`` nodes all three restart by restart.
     """
     cfg = cfg if cfg is not None else FitConfig()
     objs = [Objective(kind) for kind in CANDIDATE_KINDS]

@@ -198,10 +198,13 @@ def test_drift_audit_checks_every_lane(monkeypatch):
         fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
         # one recount per lane per flip
         assert len(audited) == sum(f.iterations for f in fits.values()) > 0
-    # Z_d alone, by degree order (the cutoff is still N - 1)
-    audited.clear()
-    fit = greedy_fit(pg.graph, Objective.ZD_MAX, FitConfig(restarts=5, seed=3))
-    assert len(audited) == fit.iterations > 0
+    # Z_d alone, by degree order (the cutoff is still N - 1), then Z_w on
+    # exact flip keys
+    monkeypatch.setattr(optimizer, "_SERIAL_MIN_N", n)
+    for obj in (Objective.ZD_MAX, Objective.ZW_MAX, Objective.ZW_MIN):
+        audited.clear()
+        fit = greedy_fit(pg.graph, obj, FitConfig(restarts=5, seed=3))
+        assert len(audited) == fit.iterations > 0
 
 
 def test_drift_audit_catches_miscount(monkeypatch):
@@ -220,9 +223,12 @@ def test_drift_audit_catches_miscount(monkeypatch):
         monkeypatch.setattr(optimizer, "_DENSE_MAX_N", cutoff)
         with pytest.raises(RuntimeError, match="drifted"):
             fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
-    # Z_d alone, by degree order (the cutoff is still N - 1)
-    with pytest.raises(RuntimeError, match="drifted"):
-        greedy_fit(pg.graph, Objective.ZD_MAX, FitConfig(restarts=5, seed=3))
+    # Z_d alone, by degree order (the cutoff is still N - 1), then Z_w on
+    # exact flip keys
+    monkeypatch.setattr(optimizer, "_SERIAL_MIN_N", n)
+    for obj in (Objective.ZD_MAX, Objective.ZW_MAX, Objective.ZW_MIN):
+        with pytest.raises(RuntimeError, match="drifted"):
+            greedy_fit(pg.graph, obj, FitConfig(restarts=5, seed=3))
 
 
 def sparse_graph(n, mean_degree, seed):
