@@ -40,9 +40,10 @@ _MODULARITY_NOTE = ("Q sums A_ij minus the degree-product rate over ordered "
 
 def _read_labels(path, n_expected=None):
     """0/1 labels of a label file: one token per line, blank and ``#`` lines
-    skipped.  The file must hold exactly two distinct tokens; the
-    lexicographically smaller one becomes community 0, so 0/1 read as is."""
-    with open(path, "r", encoding="utf-8") as fh:
+    skipped; a leading UTF-8 byte-order mark is dropped.  The file must hold
+    exactly two distinct tokens; the lexicographically smaller one becomes
+    community 0, so 0/1 read as is."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         tokens = [ln.strip() for ln in fh
                   if ln.strip() and not ln.strip().startswith("#")]
     if not tokens:

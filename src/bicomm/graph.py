@@ -4,6 +4,7 @@ permutation-null moment formulas."""
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,17 +132,31 @@ class Graph:
     def incidence(self):
         """CSR-style incidence lists: for node i, the opposite endpoints of
         every edge touching i (each stored edge contributes one entry to each
-        of its two endpoints).  Returns ``(indptr, indices)``."""
+        of its two endpoints): the v of each row (i, v), then the u of each
+        row (u, i), both in row order.  Returns ``(indptr, indices)``."""
         if self._inc_indptr is None:
-            e = self.edges
-            ends = np.concatenate([e[:, 0], e[:, 1]])
-            other = np.concatenate([e[:, 1], e[:, 0]])
-            order = np.argsort(ends, kind="stable")
-            counts = np.bincount(ends, minlength=self.n_nodes)
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
+            n, n_rows = self.n_nodes, self.n_edges
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            n_out = np.bincount(u, minlength=n)
+            n_in = np.bincount(v, minlength=n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(n_out + n_in, out=indptr[1:])
+            indices = np.empty(2 * n_rows, dtype=np.int64)
+            rows = np.arange(n_rows)
+            # rows are sorted by u: row r is out-entry r - (rows with a
+            # smaller u) of node u, after the in-entries of the nodes below
+            at = (np.cumsum(n_in) - n_in)[u]
+            at += rows
+            indices[at] = v
+            # a stable sort by v lists each node's in-rows in row order;
+            # on 16 bits numpy sorts it by radix
+            by_v = np.argsort(v.astype(np.uint16) if n <= 2**16 else v,
+                              kind="stable")
+            at = np.cumsum(n_out)[v[by_v]]
+            at += rows
+            indices[at] = u[by_v]
             self._inc_indptr = indptr
-            self._inc_indices = other[order]
+            self._inc_indices = indices
         return self._inc_indptr, self._inc_indices
 
     def incident_nodes(self, i):
@@ -198,12 +213,105 @@ def graph_constants(g: Graph) -> GraphConstants:
                           directed=g.directed)
 
 
-def _iter_lines(source):
+def _separators(b):
+    """Where the uint8 array ``b`` holds a byte that ends a token: the
+    comma or one of str.split()'s ASCII whitespace, 9-13 and 28-32."""
+    sep = (b - np.uint8(9)) < 5  # wraps below 9
+    sep |= (b - np.uint8(28)) < 5
+    sep |= b == ord(",")
+    return sep
+
+
+# the first k bytes of a little-endian word, k = 0..8; and 8 spaces
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype="<u8")
+_SPACES = np.frombuffer(b" " * 8, dtype="<u8")[0]
+
+
+def _read_text(source):
+    """The whole input as one str in which "\n" alone ends a line."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    else:  # a file object or any other iterable of lines
-        yield from source
+        # text mode: universal newlines; a UTF-8 byte-order mark is dropped
+        with open(source, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    # a file object or any other iterable of lines, one line per item
+    return "\n".join(line.replace("\n", " ") for line in source)
+
+
+def _token_words(data, starts, lens):
+    """Token k's bytes, padded with spaces (which no token holds), as the
+    little-endian uint64 words ``words[:, k]``: equal columns are equal
+    tokens.  ``data`` ends in 8 spaces."""
+    # the 8 bytes from each offset, as one unaligned word
+    window = np.ndarray(data.size - 7, dtype="<u8", buffer=data,
+                        strides=(1,))
+    words = np.empty((-(-int(lens.max(initial=1)) // 8), starts.size),
+                     dtype="<u8")
+    for w, word in enumerate(words):
+        _LOW_BYTES.take(lens - 8 * w, out=word, mode="clip")
+        # past the end is all spaces; take() would copy the strided window
+        got = window[np.minimum(starts + 8 * w, window.size - 1)]
+        got ^= _SPACES
+        word &= got  # the token's bytes xor spaces, zero past its end
+        word ^= _SPACES
+    return words
+
+
+def _token_text(words):
+    """The tokens in the columns of ``_token_words``, as str."""
+    padded = np.full((words.shape[1], words.shape[0] + 1), _SPACES,
+                     dtype="<u8")
+    padded[:, :-1] = words.T
+    return padded.tobytes().decode("utf-8", "surrogatepass").split()
+
+
+def _scan(data):
+    """The tokens of ``data``, which ends in 8 spaces: the start and length
+    of each, its 0-based line, whether a comma comes right before it
+    (whitespace aside), and the line of each comma."""
+    # events: each token's first byte and the byte after its last, each
+    # newline and each comma; a token's end is the event after its start
+    sep = _separators(data)
+    event = np.empty(data.size, dtype=bool)
+    event[0] = not sep[0]
+    np.not_equal(sep[1:], sep[:-1], out=event[1:])
+    del sep
+    event |= data == ord("\n")
+    event |= data == ord(",")
+    at = np.flatnonzero(event).astype(np.int32 if data.size < 2**31
+                                      else np.int64)
+    del event
+    byte = data[at]
+    is_tok = ~_separators(byte)  # never the last event: data ends in spaces
+    # compress() is several times faster than a boolean index here
+    starts = at.compress(is_tok)
+    lens = at[1:].compress(is_tok[:-1])
+    lens -= starts
+    del at
+    line = np.cumsum(byte == ord("\n"), dtype=starts.dtype)
+    comma = byte == ord(",")
+    after_comma = np.concatenate(([False], comma[:-1])).compress(is_tok)
+    return (starts, lens, line.compress(is_tok), after_comma,
+            line.compress(comma))
+
+
+def _first_appearance(words):
+    """The node of each token in ``_token_words`` form, nodes numbered by
+    first appearance, and the node names."""
+    # a sort brings each node's tokens together; the least index in a run
+    # is the node's first token
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    ordered = words[:, order]
+    run = np.ones(order.size, dtype=bool)
+    run[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    del ordered
+    head = np.flatnonzero(run)
+    first = np.minimum.reduceat(order, head)
+    by_first = np.argsort(first)
+    rank = np.empty(head.size, dtype=np.int64)
+    rank[by_first] = np.arange(head.size)
+    node = np.empty(order.size, dtype=np.int64)
+    node[order] = np.repeat(rank, np.diff(head, append=order.size))
+    return node, _token_text(words[:, first[by_first]])
 
 
 def load_edge_list(source, directed) -> Graph:
@@ -213,7 +321,8 @@ def load_edge_list(source, directed) -> Graph:
     comments.  Tokens are mapped to indices 0..N-1 in order of first
     appearance and kept on ``Graph.node_names``.  Duplicate edges (after
     normalization for undirected graphs) are dropped and counted on
-    ``Graph.duplicate_edges``.
+    ``Graph.duplicate_edges``.  A path is read as UTF-8, a leading
+    byte-order mark dropped; any other source is an iterable of str lines.
 
     Raises
     ------
@@ -221,32 +330,67 @@ def load_edge_list(source, directed) -> Graph:
         On malformed rows or self-loops (message carries the 1-based line
         number), or when the input has fewer than 4 distinct nodes.
     """
-    index = {}
-    ends = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        parts = raw.replace(",", " ").split()
-        if ((not parts or parts[0][0] == "#")
-                and raw.lstrip()[:1] in ("", "#")):
-            continue  # blank or comment; ",#a b" is an edge
-        if len(parts) != 2:
-            raise GraphFormatError(
-                f"line {lineno}: expected two node tokens, got {len(parts)}")
-        u_tok, v_tok = parts
-        if u_tok == v_tok:
-            raise GraphFormatError(f"line {lineno}: self-loop on {u_tok!r}")
-        ends.append(index.setdefault(u_tok, len(index)))
-        ends.append(index.setdefault(v_tok, len(index)))
+    text = _read_text(source)
+    if not text.isascii():
+        # str.split()'s other whitespace becomes a space
+        text = re.sub(r"[^\S\n]", " ", text)
+    # each array is dropped once read, which keeps the tracemalloc peak of
+    # a detect-size file near 7 MB
+    raw = text.encode("utf-8", "surrogatepass")
+    del text
+    data = np.full(len(raw) + 8, ord(" "), dtype=np.uint8)
+    data[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    starts, lens, tok_line, after_comma, comma_lines = _scan(data)
 
-    n = len(index)
+    # a line is a comment when its first non-whitespace byte is "#": its
+    # first token starts with "#" and no comma comes before it
+    new_line = np.ones(starts.size, dtype=bool)
+    np.not_equal(tok_line[1:], tok_line[:-1], out=new_line[1:])
+    first = np.flatnonzero(new_line)
+    lines = tok_line[first]
+    count = np.diff(first, append=starts.size)
+    row = (data[starts[first]] != ord("#")) | after_comma[first]
+    del tok_line, after_comma, new_line, first
+
+    # the first row of the wrong width; a line of commas alone has none
+    bad_line = bad_count = None
+    wrong = np.flatnonzero(row & (count != 2))
+    if wrong.size:
+        bad_line, bad_count = int(lines[wrong[0]]), int(count[wrong[0]])
+    bare = comma_lines[~np.isin(comma_lines, lines)]
+    if bare.size and (bad_line is None or bare[0] < bad_line):
+        bad_line, bad_count = int(bare[0]), 0
+    if bad_line is not None:
+        row &= lines < bad_line  # rows past the first bad one are not read
+
+    keep = np.repeat(row, count)
+    starts, lens = starts.compress(keep), lens.compress(keep)
+    del keep, comma_lines
+    words = _token_words(data, starts, lens)
+    del data, starts, lens
+    loops = np.flatnonzero((words[:, 0::2] == words[:, 1::2]).all(axis=0))
+    if loops.size:
+        lineno = int(lines[np.flatnonzero(row)[loops[0]]]) + 1
+        u_tok = _token_text(words[:, 2 * loops[:1]])[0]
+        raise GraphFormatError(f"line {lineno}: self-loop on {u_tok!r}")
+    if bad_line is not None:
+        raise GraphFormatError(f"line {bad_line + 1}: expected two node "
+                               f"tokens, got {bad_count}")
+    del lines, row, count
+
+    node, names = _first_appearance(words)
+    del words
+    n = len(names)
     if n < 4:
         raise GraphFormatError(
             f"graph too small: {n} distinct nodes (need at least 4)")
 
     # repeats are adjacent keys; np.unique may hash, slower and larger here
-    keys = _edge_keys(np.array(ends, dtype=np.int64).reshape(-1, 2), n,
-                      directed)
+    keys = _edge_keys(node.reshape(-1, 2), n, directed)
+    del node
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
     dupes = keys.size - int(np.count_nonzero(first))
     e = _keyed_edges(keys[first], n)
-    return Graph(n, e, directed, node_names=list(index),
-                 duplicate_edges=dupes)
+    del keys, first
+    return Graph(n, e, directed, node_names=names, duplicate_edges=dupes)

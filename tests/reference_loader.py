@@ -1,14 +1,24 @@
 """Per-line edge-list parser: the reference ``bicomm.graph.load_edge_list``
 must match in nodes, edges, duplicate count and error text.
 
-It strips each line, skips blank and ``#`` lines, and keeps one list of
-node-index pairs; test-only.
+It reads a path line by line as UTF-8 (a byte-order mark dropped), strips
+each line, skips blank and ``#`` lines, and keeps one list of node-index
+pairs; test-only.
 """
+
+import os
 
 import numpy as np
 
-from bicomm.graph import (Graph, GraphFormatError, _edge_keys, _iter_lines,
-                          _keyed_edges)
+from bicomm.graph import Graph, GraphFormatError, _edge_keys, _keyed_edges
+
+
+def _iter_lines(source):
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8-sig") as fh:
+            yield from fh
+    else:  # a file object or any other iterable of lines
+        yield from source
 
 
 def reference_load_edge_list(source, directed):

@@ -219,6 +219,25 @@ def test_eval_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_reads_a_label_file_with_a_byte_order_mark(tmp_path, capsys):
+    t = tmp_path / "bom.labels"
+    t.write_bytes(b"\xef\xbb\xbfa\nb\nb\na\n")
+    e = write_labels(tmp_path, "e.labels", [0, 1, 1, 1])
+    assert main(["eval", "--truth", str(t), "--est", e]) == 0
+    assert capsys.readouterr().out == "0.250000\n"
+
+
+def test_bad_byte_past_the_first_8_kb_exits_3(tmp_path, capsys):
+    # text files are decoded 8 KB at a time; the loader reads them whole
+    path = tmp_path / "late.edges"
+    rows = "".join(f"n{i} n{i + 1}\n" for i in range(2000)).encode()
+    assert len(rows) > 8192
+    path.write_bytes(rows + b"n0 \xff\n")
+    assert main(["detect", "--edges", str(path), "--directed"]) == 3
+    err = capsys.readouterr().err
+    assert f"in position {len(rows) + 3}" in err
+
+
 SIM_ARGS = ["simulate", "--model", "sbm", "--p11", "0.9", "--p12", "0.1",
             "--p21", "0.1", "--p22", "0.9", "--m", "6", "--n", "6",
             "--undirected", "--reps", "4", "--restarts", "5", "--seed", "3"]

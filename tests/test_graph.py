@@ -65,6 +65,64 @@ def test_incidence_lists_count_both_orientations():
     assert sorted(g.incident_nodes(0).tolist()) == [1, 1]
 
 
+def former_incidence(g):
+    """The CSR incidence lists as one stable argsort of concat(u, v) built
+    them: the reference for the entry order of ``Graph.incidence()``,
+    which a fit cannot check (``np.add.at`` and ``bincount`` ignore it)."""
+    e = g.edges
+    ends = np.concatenate([e[:, 0], e[:, 1]])
+    other = np.concatenate([e[:, 1], e[:, 0]])
+    indptr = np.zeros(g.n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=g.n_nodes), out=indptr[1:])
+    return indptr, other[np.argsort(ends, kind="stable")]
+
+
+def assert_incidence_as_before(g):
+    indptr, indices = g.incidence()
+    want_ptr, want_idx = former_incidence(g)
+    assert indptr.dtype == indices.dtype == np.int64
+    np.testing.assert_array_equal(indptr, want_ptr)
+    np.testing.assert_array_equal(indices, want_idx)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_incidence_matches_the_former_construction(directed):
+    # node 5 is isolated, node 4 has in-edges only (out-edges only when
+    # undirected, where it is the larger end), 0 and 1 are reciprocal
+    edges = [(0, 1), (1, 2), (3, 1), (2, 0), (0, 4), (2, 4), (3, 0)]
+    if directed:
+        edges.append((1, 0))
+    assert_incidence_as_before(Graph(6, edges, directed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), density=st.sampled_from([0.0, 0.1, 0.4]),
+       directed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_incidence_matches_the_former_construction_at_random(n, density,
+                                                             directed, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) < density
+    np.fill_diagonal(a, False)
+    if not directed:
+        a = np.triu(a | a.T)
+    assert_incidence_as_before(Graph(n, np.argwhere(a), directed))
+
+
+@pytest.mark.parametrize("n", [40_000, 70_000])  # uint16 sort key, then not
+@pytest.mark.parametrize("directed", [True, False])
+def test_incidence_matches_the_former_construction_on_large_graphs(
+        n, directed):
+    rng = np.random.default_rng(n)
+    pairs = rng.integers(0, n, size=(3 * n, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if not directed:
+        pairs.sort(axis=1)
+    pairs = np.unique(pairs, axis=0)
+    g = Graph(n, pairs, directed)
+    assert (g.edges.max() >= 2**16) == (n > 2**16)
+    assert_incidence_as_before(g)
+
+
 def test_constants_undirected_examples():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)], directed=False)
     c = graph_constants(tri)
