@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphConstants, graph_constants
+from .graph import Graph, GraphConstants, _integer, graph_constants
 
 # A variance below this multiple of (|G|^2 + 1) is treated as exactly zero:
 # the statistic carries no signal and its Z value is defined to be 0.
@@ -54,15 +54,27 @@ class Partition:
 
 
 def _checked_labels(labels):
-    """Read-only int8 copy of a 0/1 array-like, validated."""
+    """Read-only int8 copy of a 0/1 array-like, validated.
+
+    Integer and boolean labels are checked on their int8 copy: one scan of
+    its bytes for anything but 0 and 1, and, for dtypes wider than a byte,
+    one comparison with the input, which catches values that wrap into 0
+    or 1 (256, 257).  Other dtypes are compared with 0 and 1 directly.
+    """
     a = np.asarray(labels)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("labels must be a non-empty 1-d array")
-    if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
-        raise ValueError("labels must be 0/1")
-    a = a.astype(np.int8)
-    a.setflags(write=False)
-    return a
+    if a.dtype.kind in "biu":
+        lab = a.astype(np.int8)
+        if (lab.tobytes().strip(b"\0\1")
+                or a.dtype.itemsize > 1 and not (lab == a).all()):
+            raise ValueError("labels must be 0/1")
+    else:
+        if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
+            raise ValueError("labels must be 0/1")
+        lab = a.astype(np.int8)
+    lab.setflags(write=False)
+    return lab
 
 
 def as_labels(x, n_nodes=None):
@@ -103,14 +115,18 @@ def block_counts(g: Graph, x):
 
 def _block_counts(g, lab):
     """``block_counts`` of already validated int8 labels."""
+    r1, r2, a, b = _within(g, lab)
+    return r1, int(np.count_nonzero(a)) - r1, int(np.count_nonzero(b)) - r1, r2
+
+
+def _within(g, lab):
+    """(R1, R2, a, b) of already validated int8 labels, with a and b the
+    labels of the edges' first and second ends."""
     e = g.edges
     a = lab[e[:, 0]]
     b = lab[e[:, 1]]
     r1 = int(np.count_nonzero(a & b))
-    e12 = int(np.count_nonzero(a)) - r1
-    e21 = int(np.count_nonzero(b)) - r1
-    r2 = g.n_edges - int(np.count_nonzero(a | b))
-    return r1, e12, e21, r2
+    return r1, g.n_edges - int(np.count_nonzero(a | b)), a, b
 
 
 def within_counts(g: Graph, x):
@@ -118,8 +134,7 @@ def within_counts(g: Graph, x):
 
     Directed edges are counted once each, in either orientation.
     """
-    r1, _, _, r2 = block_counts(g, x)
-    return r1, r2
+    return _within(g, as_labels(x, g.n_nodes))[:2]
 
 
 def r_d(g: Graph, x):
@@ -134,7 +149,7 @@ def r_w(g: Graph, x):
     lab = as_labels(x, g.n_nodes)
     if lab.size < 3:
         raise ValueError("R_w needs at least 3 nodes")
-    r1, _, _, r2 = _block_counts(g, lab)
+    r1, r2 = _within(g, lab)[:2]
     return _r_w(lab.size, int(np.count_nonzero(lab)), r1, r2)
 
 
@@ -186,11 +201,11 @@ def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
     """Exact permutation-null moments of R_w and R_d for group sizes
     (m_x, n_x) on a graph with counting constants ``c``.
 
-    Requires m_x, n_x >= 2 (the variance of R_w involves both group sizes
-    minus one) and N = m_x + n_x equal to the graph's node count.
+    Requires integral m_x, n_x >= 2 (the variance of R_w involves both group
+    sizes minus one) and N = m_x + n_x equal to the graph's node count.
     """
-    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(c, int(m_x),
-                                                           int(n_x))
+    mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(
+        c, _integer(m_x, "m_x"), _integer(n_x, "n_x"))
     return MomentSet(mu_w=mu_w, sigma_w=math.sqrt(var_w),
                      mu_d=mu_d, sigma_d=math.sqrt(var_d),
                      var_w=float(var_w), var_d=float(var_d),
@@ -206,7 +221,7 @@ def _z(g, x, c, within):
         raise ValueError("Z statistics need both groups of size >= 2")
     if c is None:
         c = graph_constants(g)
-    r1, _, _, r2 = _block_counts(g, lab)
+    r1, r2 = _within(g, lab)[:2]
     return _z_from_counts(c, m_x, n_x, r1, r2, within)
 
 
@@ -270,7 +285,7 @@ def modularity_q(g: Graph, x):
     if g.n_edges == 0:
         raise ValueError("modularity is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
-    r1, _, _, r2 = _block_counts(g, lab)
+    r1, r2 = _within(g, lab)[:2]
     ko1, ki1, ko0, ki0 = _degree_group_sums(g, lab)
     # Not routed through _q_values: its t1 + t2 sums in another order, which
     # changes the last bit of Q (and the ``bicomm moments`` JSON) on about a
@@ -288,7 +303,7 @@ def q_d(g: Graph, x):
     if g.n_edges == 0:
         raise ValueError("q_d is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
-    r1, _, _, r2 = _block_counts(g, lab)
+    r1, r2 = _within(g, lab)[:2]
     return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab),
                            float(g.n_edges), g.directed))
 
@@ -300,7 +315,7 @@ def flip_delta(g: Graph, x, i: int):
     incidences i->j and j->i both count.
     """
     lab = as_labels(x, g.n_nodes)
-    i = int(i)
+    i = _integer(i, "node index")
     if not 0 <= i < g.n_nodes:
         raise ValueError("node index out of range")
     inc = g.incident_nodes(i)

@@ -35,8 +35,8 @@ class EvalRecord:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ValueError(f"{name}={v} outside [0, 0.5]")
-        if self.psi < 0:
-            raise ValueError("psi must be >= 0")
+        if not 0 <= self.psi < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"psi must be finite and >= 0, got {self.psi}")
 
     @property
     def success(self) -> bool:

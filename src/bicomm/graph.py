@@ -34,6 +34,16 @@ def _keyed_edges(keys, n):
     return e
 
 
+def _integer(x, name):
+    """``int(x)``, or ValueError, not truncation, when x is not integral
+    (NaN and inf included)."""
+    if isinstance(x, (int, np.integer)):  # any size: no float conversion
+        return int(x)
+    if not float(x).is_integer():
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return int(x)
+
+
 class Graph:
     """Simple directed or undirected graph on nodes ``0..n_nodes-1``.
 
@@ -64,9 +74,7 @@ class Graph:
 
     def __init__(self, n_nodes, edges, directed, node_names=None,
                  duplicate_edges=0):
-        if not float(n_nodes).is_integer():  # NaN and inf included
-            raise ValueError(f"n_nodes must be an integer, got {n_nodes}")
-        n_nodes = int(n_nodes)
+        n_nodes = _integer(n_nodes, "n_nodes")
         if n_nodes < 1:
             raise ValueError("graph needs at least one node")
         e = np.asarray(edges)

@@ -165,7 +165,8 @@ def _z_coefficients(objs, tables, n, min_group):
     lanes price every flip from these tables, and the restart-by-restart
     search (``_z_by_restart``) prices its two candidate flips per step from
     the same A, B, mu and sd, with its live mask where A != 0.
-    Returns (A, B, mu, sd) and the per-objective C.
+    Returns the (4, T) table of rows A, B, mu and sd, and the per-objective
+    C.
     """
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
     m = np.arange(-1, n + 2)
@@ -185,14 +186,21 @@ def _z_coefficients(objs, tables, n, min_group):
                        np.where(live, mu, np.where(deg, 0.0, np.inf)),
                        np.where(live, sign * sd, np.where(deg, sign, 1.0))))
         scales.append(scale)
-    return tuple(np.concatenate(t) for t in zip(*blocks)), np.array(scales)
+    return np.stack([np.concatenate(t) for t in zip(*blocks)]), np.array(scales)
 
 
 def _z_at(coef, scale, slot, r1, r2):
-    """((A R1 + B R2) / C - mu) / sd at table slot(s) ``slot``, in the
-    operation order of the lane kernel's flip pricing."""
-    a, b, mu, sd = coef
-    return ((a[slot] * r1 + b[slot] * r2) / scale - mu[slot]) / sd[slot]
+    """((A R1 + B R2) / C - mu) / sd at table slot(s) ``slot``, from one
+    take of the stacked table, in the operation order of the lane kernel's
+    flip pricing."""
+    v, b, mu, sd = coef.take(slot, axis=1)
+    v *= r1
+    b *= r2
+    v += b
+    v /= scale
+    v -= mu
+    v /= sd
+    return v
 
 
 class _Lanes:
@@ -697,9 +705,10 @@ _GRID_CELLS = 1 << 16  # label vectors scored per block of the exhaustive grid
 
 
 def _all_labelings(k):
-    """(2^k, k) int64 rows of every labeling of k nodes, in counting order
+    """(2^k, k) float64 rows of every labeling of k nodes, in counting order
     with the first node as the most significant bit."""
-    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    rows = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return rows.astype(np.float64)
 
 
 def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
@@ -713,6 +722,12 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     reciprocal pair counts 2), R1 = xh U_hh xh + xl U_ll xl + xh U_hl xl;
     group 1's size and degree sums add over the halves, and
     R2 = |E| - T1 + R1 with T1 the incident-edge total of group 1.
+
+    The labelings, U and the sums are float64, so each block's cross term
+    is one BLAS matmul.  Every count and sum is an integer of at most
+    2 N (N - 1) = 760, which float64 holds exactly in any summation order:
+    the values, and so the labels and the tie order, are those of integer
+    arithmetic.  Group sizes index the pricing tables and stay integers.
     """
     n = g.n_nodes
     if n > 20:
@@ -726,11 +741,10 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
 
     h = n // 2
     xh, xl = _all_labelings(h), _all_labelings(n - h)
-    u = np.zeros((n, n), dtype=np.int64)
-    np.add.at(u.reshape(-1), _edge_keys(g.edges, n, directed=False), 1)
-    # group 1's size, out-, in- and incident-edge totals
-    w = np.stack([np.ones(n, dtype=np.int64), g.k_out, g.k_in,
-                  u.sum(axis=0) + u.sum(axis=1)], axis=1)
+    u = np.zeros((n, n))
+    np.add.at(u.reshape(-1), _edge_keys(g.edges, n, directed=False), 1.0)
+    # group 1's out-, in- and incident-edge totals
+    w = np.stack([g.k_out, g.k_in, u.sum(axis=0) + u.sum(axis=1)], axis=1)
 
     def half(x, s):
         """Within-half R1 and the group-1 sums of each labeling."""
@@ -738,6 +752,10 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
 
     sh, sl = half(xh, slice(0, h)), half(xl, slice(h, n))
     cross = xh @ u[:h, h:]
+    xlt = np.ascontiguousarray(xl.T)  # half the matmul time of the view
+    # group 1's size, plus 1: its slot in the pricing tables
+    mh = np.count_nonzero(xh, axis=1)[:, None] + 1
+    ml = np.count_nonzero(xl, axis=1)
 
     degenerate = False
     if obj in _Z_FAMILY:
@@ -745,7 +763,7 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
         coef, scales = _z_coefficients([obj], tables, n, min_group)
         degenerate = _all_degenerate(obj, tables, n, min_group)
     else:
-        sizes = np.arange(n + 1)
+        sizes = np.arange(-1, n + 1)
         kill = np.where((sizes >= min_group) & (sizes <= n - min_group),
                         0.0, np.inf)
 
@@ -753,19 +771,20 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     step = max(1, _GRID_CELLS >> (n - h))
     for top in range(0, 1 << h, step):
         hs = sh[top:top + step, :, None]
-        r1 = hs[:, 0] + sl[:, 0] + cross[top:top + step] @ xl.T
-        m = hs[:, 1] + sl[:, 1]
-        r2 = g.n_edges - (hs[:, 4] + sl[:, 4]) + r1
+        r1 = cross[top:top + step] @ xlt
+        r1 += hs[:, 0] + sl[:, 0]
+        slot = mh[top:top + step] + ml
+        r2 = g.n_edges - (hs[:, 3] + sl[:, 3]) + r1
         if obj in _Z_FAMILY:  # a size the search may not visit prices -inf
-            vals = _z_at(coef, scales[0], m + 1, r1, r2)
+            vals = _z_at(coef, scales[0], slot, r1, r2)
         else:
-            ko1 = (hs[:, 2] + sl[:, 2]).astype(np.float64)
-            ki1 = (hs[:, 3] + sl[:, 3]).astype(np.float64)
+            ko1 = hs[:, 1] + sl[:, 1]
+            ki1 = hs[:, 2] + sl[:, 2]
             vals = _q_values(obj is Objective.QD_MAX, r1, r2, ko1, ki1,
                              float(g.k_out.sum()) - ko1,
                              float(g.k_in.sum()) - ki1,
                              float(g.n_edges), g.directed)
-            vals -= kill[m]
+            vals -= kill[slot]
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if at is None or vals[i, j] > best:  # ties keep the earlier vector
             best, at = float(vals[i, j]), (top + i, j)

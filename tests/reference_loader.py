@@ -1,7 +1,7 @@
 """Per-line edge-list parser: the reference ``bicomm.graph.load_edge_list``
 must match in nodes, edges, duplicate count and error text.
 
-It reads a path line by line as UTF-8 (a byte-order mark dropped), strips
+It decodes a path whole as UTF-8 (a byte-order mark dropped), strips
 each line, skips blank and ``#`` lines, and keeps one list of node-index
 pairs; test-only.
 """
@@ -15,8 +15,12 @@ from bicomm.graph import Graph, GraphFormatError, _edge_keys, _keyed_edges
 
 def _iter_lines(source):
     if isinstance(source, (str, os.PathLike)):
+        # decoded whole before any line is parsed, as the loader does: a
+        # file that does not decode is refused wherever its bad byte lies,
+        # even a truncated sequence at the end, which a per-line read only
+        # meets after every line before it
         with open(source, "r", encoding="utf-8-sig") as fh:
-            yield from fh
+            yield from fh.readlines()
     else:  # a file object or any other iterable of lines
         yield from source
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from bicomm.edgestats import (Partition, as_labels, block_counts, flip_delta,
                               modularity_q, moment_arrays, perm_null_moments,
                               q_d, r_d, r_w, within_counts, z_d, z_w)
 from bicomm.graph import Graph, graph_constants
+from bicomm.optimizer import (FitConfig, Objective, _random_valid_labels,
+                              greedy_fit)
 
 
 def cycle4():
@@ -77,6 +81,17 @@ def test_moments_reject_singleton_groups():
         perm_null_moments(c, 1, 3)
     with pytest.raises(ValueError):
         perm_null_moments(c, 3, 2)  # wrong total
+
+
+def test_moments_refuse_non_integral_sizes():
+    c = graph_constants(cycle4())
+    with pytest.raises(ValueError, match="m_x must be an integer, got 2.9"):
+        perm_null_moments(c, 2.9, 2.1)
+    with pytest.raises(ValueError, match="n_x must be an integer, got nan"):
+        perm_null_moments(c, 2, float("nan"))
+    want = perm_null_moments(c, 2, 2)
+    assert perm_null_moments(c, 2.0, np.int64(2)) == want
+    assert perm_null_moments(c, np.float64(2.0), np.int8(2)) == want
 
 
 def test_z_values_frozen_examples():
@@ -164,6 +179,53 @@ def test_q_d_antisymmetry():
     assert q_d(g, 1 - lab) == pytest.approx(-q_d(g, lab), abs=1e-12)
 
 
+def exact_q_d(g, lab):
+    """Q_d by its definition, summed over ordered same-community node pairs
+    (diagonal included) in integers: community 1 counts +1, community 0
+    counts -1, and the degree-product term is divided by the edge total
+    (2|E| undirected, |E| directed) once, at the end."""
+    n = g.n_nodes
+    a = np.zeros((n, n), dtype=np.int64)
+    a[g.edges[:, 0], g.edges[:, 1]] = 1
+    if not g.directed:
+        a = a + a.T
+    adj = a.tolist()
+    k_out = [sum(row) for row in adj]
+    k_in = [sum(col) for col in zip(*adj)]
+    total = sum(k_out)
+    num = 0
+    for i in range(n):
+        for j in range(n):
+            if lab[i] == lab[j]:
+                sign = 1 if lab[i] == 1 else -1
+                num += sign * (total * adj[i][j] - k_out[i] * k_in[j])
+    return Fraction(num, total)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 8), st.sampled_from([0.2, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_q_d_is_identically_zero(n, density, seed):
+    """R1 - R2 is fixed by the group degree sums, and the signed
+    degree-product term cancels it: Q_d is exactly 0 for every split of
+    every graph, directed or not.  A ``qd`` fit therefore never flips."""
+    rng = np.random.default_rng(seed)
+    for directed in (False, True):
+        g = random_graph(rng, n, directed, p=density)
+        if g.n_edges == 0:
+            g = Graph(n, [(0, 1)], directed)
+        for v in range(1 << n):
+            lab = [(v >> (n - 1 - i)) & 1 for i in range(n)]
+            assert exact_q_d(g, lab) == 0
+            assert abs(q_d(g, lab)) < 1e-9
+        if n >= 5:
+            fit = greedy_fit(g, Objective.QD_MAX, FitConfig(restarts=3))
+            starts = [_random_valid_labels(np.random.default_rng(r), n, 2)
+                      for r in range(3)]
+            assert fit.iterations == 0
+            assert any(np.array_equal(fit.labels.labels, s) for s in starts)
+
+
 def test_empty_graph_modularity_errors():
     g = Graph(4, [], directed=False)
     with pytest.raises(ValueError):
@@ -180,6 +242,17 @@ def test_flip_delta_path_example():
 def test_flip_delta_isolated_node():
     g = Graph(5, [(0, 1), (2, 3)], directed=False)
     assert flip_delta(g, [1, 1, 0, 0, 0], 4) == (0, 0)
+
+
+def test_flip_delta_refuses_a_non_integral_node():
+    g = path4()
+    lab = [1, 1, 0, 0]
+    for i in (2.7, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="node index must be an integer"):
+            flip_delta(g, lab, i)
+    assert flip_delta(g, lab, 1.0) == flip_delta(g, lab, np.int64(1)) == (-1, 1)
+    with pytest.raises(ValueError, match="node index out of range"):
+        flip_delta(g, lab, 10**400)
 
 
 def test_flip_delta_matches_recount():
@@ -305,3 +378,89 @@ def test_as_labels_returns_a_read_only_copy():
         as_labels(part, 4)
     with pytest.raises(ValueError, match="labels must be 0/1"):
         as_labels(np.array(["0", "1"]))
+
+
+# ---- the one-pass label check against the former rule -----------------------
+
+def former_checked_labels(labels):
+    """The label check before the one-pass byte scan, kept as the reference:
+    two comparisons with 0 and 1 on the input, then the int8 copy."""
+    a = np.asarray(labels)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError("labels must be a non-empty 1-d array")
+    if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
+        raise ValueError("labels must be 0/1")
+    a = a.astype(np.int8)
+    a.setflags(write=False)
+    return a
+
+
+_ODD_LABELS = [-1, 2, 0.5, float("nan"), 255, 256, 257]
+_LABEL_FORMS = ["int8", "uint8", "int16", "int64", "bool", "float", "list"]
+
+
+def _holds(form, v):
+    """Whether an array of ``form`` can hold the value v as it is."""
+    if form in ("float", "list"):
+        return True
+    if form == "bool":
+        return v in (0, 1)
+    if v != v or v != int(v):
+        return False
+    info = np.iinfo(form)
+    return info.min <= v <= info.max
+
+
+@st.composite
+def label_inputs(draw):
+    form = draw(st.sampled_from(_LABEL_FORMS))
+    odd = [v for v in _ODD_LABELS if _holds(form, v)]
+    value = st.sampled_from([0, 1])
+    if odd and draw(st.booleans()):  # else every value is a valid label
+        value = st.one_of(value, st.sampled_from(odd))
+    shape = draw(st.sampled_from(["0-d", "1-d", "1-d", "2-d", "empty"]))
+    if shape == "0-d":
+        flat, dims = [draw(value)], ()
+    elif shape == "empty":
+        flat, dims = [], (0,)
+    elif shape == "1-d":
+        flat = draw(st.lists(value, min_size=1, max_size=24))
+        dims = (len(flat),)
+    else:
+        dims = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        flat = draw(st.lists(value, min_size=dims[0] * dims[1],
+                             max_size=dims[0] * dims[1]))
+    if form == "list":
+        if dims == ():
+            return flat[0]
+        if len(dims) == 2:
+            return [flat[i * dims[1]:(i + 1) * dims[1]] for i in range(dims[0])]
+        return flat
+    dtype = {"float": np.float64, "bool": np.bool_}.get(form, form)
+    return np.array(flat, dtype=dtype).reshape(dims)
+
+
+def _outcome(check, x):
+    try:
+        return "ok", check(x)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_inputs())
+def test_label_check_matches_the_former_rule(x):
+    """Same accept or reject, same message and same int8 values as the
+    former rule, and the result is a read-only copy of the input."""
+    want = _outcome(former_checked_labels, x)
+    got = _outcome(as_labels, x)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert got[1] == want[1]
+        return
+    lab = got[1]
+    assert lab.dtype == np.int8 and not lab.flags.writeable
+    assert lab.tolist() == want[1].tolist()
+    before = lab.tolist()
+    x[0] = 1 - x[0]  # the input stays the caller's; the labels do not move
+    assert lab.tolist() == before

@@ -64,6 +64,13 @@ def test_record_validation():
                    psi=-0.5)
 
 
+@pytest.mark.parametrize("psi", [float("nan"), float("inf"), -0.5])
+def test_record_rejects_a_psi_that_is_not_finite_and_nonnegative(psi):
+    with pytest.raises(ValueError, match="psi must be finite and >= 0"):
+        EvalRecord(eps_criterion=0.1, eps_d=0.1, eps_w_min=0.1, eps_w_max=0.1,
+                   psi=psi)
+
+
 def test_success_rate_aggregates():
     good = EvalRecord(eps_criterion=0.1, eps_d=0.1, eps_w_min=0.3,
                       eps_w_max=0.3)
