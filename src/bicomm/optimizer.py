@@ -141,37 +141,43 @@ def _random_valid_labels(rng, n, min_group):
             return lab
 
 
-def _all_degenerate(obj, tables, n, min_group):
-    if obj not in _Z_FAMILY:
-        return False
-    flags = tables[5] if obj is Objective.ZD_MAX else tables[4]
-    ms = np.arange(min_group, n - min_group + 1)
-    return bool(np.all(flags[ms]))
+def _size_penalty(n, min_group):
+    """0.0 at slot 1 + m for each group size m in [min_group, N - min_group]
+    a flip may reach, +inf at every other slot (m = -1 .. N + 1)."""
+    m = np.arange(-1, n + 2)
+    return np.where((m >= min_group) & (m <= n - min_group), 0.0, np.inf)
 
 
-def _z_coefficients(objs, tables, n, min_group):
-    """Flip-pricing tables of Z objectives, one block of N + 3 slots per
-    objective, slot 1 + m holding group size m after the flip.
+def _z_coefficients(objs, c, min_group):
+    """Flip-pricing tables of Z objectives on a graph with constants ``c``,
+    one block of N + 3 slots per objective, slot 1 + m holding group size m
+    after the flip.  Returns the (4, T) table of rows A, B, mu and sd, and
+    the per-objective C.
 
     A flip's value is ((A R1 + B R2) / C - mu) / sd with R1, R2 the counts
     after it: Z_w has A = N - m - 1, B = m - 1, C = N - 2 and Z_d has
     A = 1, B = -1, C = 1; ZW_MIN divides by -sd.  A degenerate size gets
     A = B = mu = 0 and sd = +-1, so the value is a signed 0, and a size
-    outside [min_group, N - min_group] gets mu = +inf, so the value is -inf.
-    This is the search's only coding of Z from counts
-    (``edgestats._z_from_counts`` codes it for ``z_w``/``z_d`` and the
-    audits), and it matches that scalar coding bit for bit: IEEE arithmetic
-    gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y) exactly.  The
-    lanes price every flip from these tables, and the restart-by-restart
-    search (``_z_by_restart``) prices its two candidate flips per step from
-    the same A, B, mu and sd, with its live mask where A != 0.
-    Returns the (4, T) table of rows A, B, mu and sd, and the per-objective
-    C.
+    that ``_size_penalty`` rules out gets A = B = 0 and mu = +inf, so the
+    value is -inf.  A live size has A >= min_group - 1 >= 1 for Z_w and
+    A = 1 for Z_d, so an objective is degenerate everywhere exactly when
+    its block of the A row is all zero.  The lanes and the exhaustive grid
+    (``_z_at``) and ``_z_by_restart`` price every flip from these tables.
+
+    ``edgestats._z_from_counts`` codes Z for ``z_w``/``z_d`` and the audits.
+    IEEE arithmetic gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y)
+    exactly, so the two codings agree bit for bit where the rows of
+    ``moment_arrays`` equal ``perm_null_moments``: at every size while
+    N (N - 1) (N - 2)^2 < 2^53, that is up to N = 9,743.  Above that the
+    scalar moments divide exact integers, the tables rounded floats, and
+    the last bit can differ.
     """
-    mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
+    n = c.n_nodes
+    mu_w, s_w, mu_d, s_d, deg_w, deg_d = moment_arrays(c)
     m = np.arange(-1, n + 2)
     mc = np.clip(m, 0, n)
-    valid = (m >= min_group) & (m <= n - min_group)
+    kill = _size_penalty(n, min_group)
+    valid = kill == 0
     blocks, scales = [], []
     for obj in objs:
         if obj is Objective.ZD_MAX:
@@ -183,20 +189,23 @@ def _z_coefficients(objs, tables, n, min_group):
         sign = -1.0 if obj is Objective.ZW_MIN else 1.0
         live = valid & ~deg
         blocks.append((np.where(live, a, 0.0), np.where(live, b, 0.0),
-                       np.where(live, mu, np.where(deg, 0.0, np.inf)),
+                       np.where(live, mu, kill),
                        np.where(live, sign * sd, np.where(deg, sign, 1.0))))
         scales.append(scale)
     return np.stack([np.concatenate(t) for t in zip(*blocks)]), np.array(scales)
 
 
 def _z_at(coef, scale, slot, r1, r2):
-    """((A R1 + B R2) / C - mu) / sd at table slot(s) ``slot``, from one
-    take of the stacked table, in the operation order of the lane kernel's
-    flip pricing."""
-    v, b, mu, sd = coef.take(slot, axis=1)
+    """((A R1 + B R2) / C - mu) / sd at slot(s) ``slot`` of the (4, T)
+    table ``coef``: the search's one vector coding of the Z kernel.  One
+    stacked take: four row takes cost the same per call, but in a loop of
+    N = 14 exhaustive fits their four 128 KB buffers went back to the
+    system and were faulted in again on every fit.  ``r1`` and ``r2`` are
+    left as they are."""
+    v, w, mu, sd = coef.take(slot, axis=1)
     v *= r1
-    b *= r2
-    v += b
+    w *= r2
+    v += w
     v /= scale
     v -= mu
     v /= sd
@@ -205,9 +214,9 @@ def _z_at(coef, scale, slot, r1, r2):
 
 class _Lanes:
     """Search state of the lanes still running, one row per (objective,
-    restart) pair.  Only the objectives that ``_by_restart`` leaves here
-    have lanes: the modularity objectives always, Z_d up to
-    ``_DENSE_MAX_N`` nodes and Z_w below ``_SERIAL_MIN_N``.
+    restart) pair, for the objectives ``_by_restart`` leaves to the lanes.
+    ``table`` is their ``_z_coefficients`` table, with ``scales`` their C,
+    or for a modularity objective (``scales`` None) ``_size_penalty``.
 
     (L, N) rows: ``sg`` is +1 for a node labelled 0 and -1 for a node
     labelled 1, which is the change of m1 if the node flips; ``d1``/``d2``
@@ -224,14 +233,14 @@ class _Lanes:
     the two forms give the same bits.
     """
 
-    def __init__(self, g, objs, starts, tables, min_group):
+    def __init__(self, g, objs, starts, table, scales=None):
         n = g.n_nodes
         n_lanes = len(objs) * len(starts)
         self.g, self.objs, self.restarts = g, objs, len(starts)
         indptr, indices = g.incidence()
         inc_counts = np.diff(indptr)
         ends = np.repeat(np.arange(n), inc_counts)
-        self.z_family = tables is not None
+        self.z_family = scales is not None
         self.k_out = g.k_out.astype(np.float64)
         self.k_in = g.k_in.astype(np.float64)
 
@@ -261,18 +270,14 @@ class _Lanes:
         self.m1 = np.tile(np.count_nonzero(is1, axis=1), len(objs))
 
         kind = self.lane // self.restarts
+        self.table = table
         if self.z_family:
-            coef, scales = _z_coefficients(objs, tables, n, min_group)
-            self.a, self.b, self.mu, self.sd = coef
             self.toff = kind * (n + 3) + 1
             self.scale = scales[kind]
-            self.cur = _z_at(coef, self.scale, self.toff + self.m1,
+            self.cur = _z_at(table, self.scale, self.toff + self.m1,
                              self.r1, self.r2)
             self.fields = ("scale",)
         else:
-            m = np.arange(-1, n + 2)
-            self.kill = np.where((m >= min_group) & (m <= n - min_group),
-                                 0.0, np.inf)
             self.toff = np.ones(n_lanes, dtype=np.intp)
             self.signed = objs[0] is Objective.QD_MAX
             sums = _degree_group_sums(g, self.sg < 0)
@@ -297,14 +302,7 @@ class _Lanes:
         r2n = self.d2 + self.r2[:, None]
         idx = self.sg + (self.toff + self.m1)[:, None]
         if self.z_family:
-            v = self.a.take(idx)
-            v *= r1n
-            r2n *= self.b.take(idx)
-            v += r2n
-            v /= self.scale[:, None]
-            v -= self.mu.take(idx)
-            v /= self.sd.take(idx)
-            return v
+            return _z_at(self.table, self.scale[:, None], idx, r1n, r2n)
         ko1n = self.sg * self.k_out
         ko1n += self.ko1[:, None]
         ki1n = self.sg * self.k_in
@@ -312,7 +310,7 @@ class _Lanes:
         v = _q_values(self.signed, r1n, r2n, ko1n, ki1n,
                       self.k_out.sum() - ko1n, self.k_in.sum() - ki1n,
                       float(self.g.n_edges), self.g.directed)
-        v -= self.kill.take(idx)
+        v -= self.table.take(idx)
         return v
 
     def flip(self, best, value):
@@ -520,19 +518,20 @@ class _FlipKeys:
         return (r1, r2) == (self.r1, self.r2)
 
 
-def _z_by_restart(g, obj, starts, tables, c, min_group, max_iters):
+def _z_by_restart(g, obj, starts, coef, scale, c, max_iters):
     """Fit a Z objective from each start, one restart after another, bit
     for bit as a lane of ``_Lanes`` would; returns per start its final
-    labels, value and flips.
+    labels, value and flips, from the objective's (4, N + 3) block
+    ``coef`` of the ``_z_coefficients`` table and its C ``scale``.
 
     A step takes the best flip into group 1 (new size m1 + 1) and the best
     out of it (m1 - 1), each chosen by the objective's side object
     (``_DegreeOrder`` for Z_d, ``_FlipKeys`` for Z_w) on an exact integer
     T = A R1' + B R2' of the counts after the flip.  A flip's value is
     ((T / C - mu) / sd) at the slot of its new size, with A, B, C, mu and
-    sd from ``_z_coefficients``: the lane kernel's operations on the same
-    numbers, T being below 2^53 and so exact.  Within a side, distinct T
-    give distinct values in the same order (the reverse for ZW_MIN's
+    sd from ``coef`` in Python floats: the lane kernel's operations on the
+    same numbers, T being below 2^53 and so exact.  Within a side, distinct
+    T give distinct values in the same order (the reverse for ZW_MIN's
     negative sd): each of the three rounded operations errs by at most
     2^-53 of its result, and with |T| <= (N - 2)|E|, |T / C| <= |E| and
     |mu| <= |E| the errors stay below the gap of 1 / C between two T while
@@ -545,10 +544,8 @@ def _z_by_restart(g, obj, starts, tables, c, min_group, max_iters):
     ``_CHECK_EVERY`` audit are the lanes'; ``_lane_search`` draws the starts
     (warm start included) and settles all-degenerate objectives first.
     """
-    n = g.n_nodes
-    (a, b, mu, sd), (scale,) = _z_coefficients([obj], tables, n, min_group)
-    live, scale = (a != 0).tolist(), float(scale)
-    a, b, mu, sd = a.tolist(), b.tolist(), mu.tolist(), sd.tolist()
+    a, b, mu, sd = coef.tolist()
+    live, scale = [x != 0 for x in a], float(scale)
     if obj is Objective.ZD_MAX:
         keys = _DegreeOrder(g)
     else:
@@ -601,9 +598,10 @@ def _best_restart(obj, labs, vals, iters):
 
 
 def _by_restart(g, obj):
-    """Whether ``_lane_search`` fits ``obj`` by ``_z_by_restart``: Z_d above
-    ``_DENSE_MAX_N`` nodes and Z_w from ``_SERIAL_MIN_N`` up, on graphs
-    whose N |E| is below ``_KEY_MAX``."""
+    """Whether ``_lane_search`` fits ``obj`` restart by restart
+    (``_z_by_restart``), not as lanes (``_Lanes``), the one statement of
+    that rule: Z_d above ``_DENSE_MAX_N`` nodes and Z_w from
+    ``_SERIAL_MIN_N`` up, on graphs whose N |E| is below ``_KEY_MAX``."""
     if obj not in _Z_FAMILY or g.n_nodes * g.n_edges >= _KEY_MAX:
         return False
     if obj is Objective.ZD_MAX:
@@ -613,11 +611,9 @@ def _by_restart(g, obj):
 
 def _lane_search(g, objs, cfg):
     """Fit each objective in ``objs`` (all of the Z family, or one
-    modularity objective) with cfg.restarts lanes apiece, all advancing in
-    one loop, except the Z objectives that ``_by_restart`` picks (Z_d above
-    ``_DENSE_MAX_N`` nodes, Z_w from ``_SERIAL_MIN_N``), which
-    ``_z_by_restart`` fits restart by restart; returns the FitResults in
-    ``objs`` order."""
+    modularity objective) from cfg.restarts starts, on one coefficient
+    table, as lanes that all advance in one loop or restart by restart, as
+    ``_by_restart`` says; returns the FitResults in ``objs`` order."""
     n = g.n_nodes
     if n < 2 * cfg.min_group + 1:
         raise ValueError(
@@ -626,7 +622,10 @@ def _lane_search(g, objs, cfg):
         raise ValueError("modularity objectives need a non-empty graph")
 
     c = graph_constants(g)
-    tables = moment_arrays(c) if objs[0] in _Z_FAMILY else None
+    z_family = objs[0] in _Z_FAMILY
+    if z_family:  # each objective's (4, N + 3) block of one table
+        coef, scales = _z_coefficients(objs, c, cfg.min_group)
+        blocks = np.split(coef, len(objs), axis=1)
     max_iters = cfg.max_iters if cfg.max_iters is not None else n * n
 
     warm = None
@@ -641,8 +640,8 @@ def _lane_search(g, objs, cfg):
               for r in range(cfg.restarts)]
 
     results, live = {}, []
-    for obj in objs:
-        if tables is not None and _all_degenerate(obj, tables, n, cfg.min_group):
+    for k, obj in enumerate(objs):
+        if z_family and not blocks[k][0].any():  # no size with A != 0
             results[obj] = FitResult(
                 labels=Partition(starts[0]), value=0.0,
                 restart_values=[0.0] * cfg.restarts, iterations=0,
@@ -650,13 +649,18 @@ def _lane_search(g, objs, cfg):
                 objective=obj)
         elif _by_restart(g, obj):
             results[obj] = _best_restart(obj, *zip(*_z_by_restart(
-                g, obj, starts, tables, c, cfg.min_group, max_iters)))
+                g, obj, starts, blocks[k], scales[k], c, max_iters)))
         else:
-            live.append(obj)
+            live.append(k)
     if not live:
         return [results[obj] for obj in objs]
 
-    lanes = _Lanes(g, live, starts, tables, cfg.min_group)
+    if z_family:
+        lanes = _Lanes(g, [objs[k] for k in live], starts,
+                       np.concatenate([blocks[k] for k in live], axis=1),
+                       scales[live])
+    else:
+        lanes = _Lanes(g, objs, starts, _size_penalty(n, cfg.min_group))
     iters = 0
     while lanes.running and iters < max_iters:
         vals = lanes.price()
@@ -675,7 +679,7 @@ def _lane_search(g, objs, cfg):
     if lanes.running:  # the lanes that reached max_iters
         lanes.stop(np.ones(lanes.running, dtype=bool), iters)
 
-    for k, obj in enumerate(live):
+    for k, obj in enumerate(lanes.objs):
         rows = slice(k * cfg.restarts, (k + 1) * cfg.restarts)
         results[obj] = _best_restart(obj, lanes.out_lab[rows],
                                      lanes.out_val[rows], lanes.out_iters[rows])
@@ -690,12 +694,12 @@ def greedy_fit(g: Graph, obj: Objective, cfg: FitConfig | None = None) -> FitRes
     to the lowest node index), and stops at a local optimum.  The restarts
     run as lanes of one search that advance together, one flip each per
     step; for a given seed the result equals that of running the restarts
-    one after another.  The Z objectives on larger graphs (Z_d above
-    ``_DENSE_MAX_N`` nodes, Z_w from ``_SERIAL_MIN_N``) are instead searched
-    restart by restart, where a step finds the best add and the best
-    removal on exact integer keys and compares those two flips
-    (``_z_by_restart``), with the same result.  The best terminal partition
-    across restarts is returned (the first restart reaching it).
+    one after another.  Some Z objectives on larger graphs (``_by_restart``
+    says which) are instead searched restart by restart, where a step finds
+    the best add and the best removal on exact integer keys and compares
+    those two flips (``_z_by_restart``), with the same result.  The best
+    terminal partition across restarts is returned (the first restart
+    reaching it).
     """
     cfg = cfg if cfg is not None else FitConfig()
     return _lane_search(g, [obj], cfg)[0]
@@ -759,13 +763,10 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
 
     degenerate = False
     if obj in _Z_FAMILY:
-        tables = moment_arrays(graph_constants(g))
-        coef, scales = _z_coefficients([obj], tables, n, min_group)
-        degenerate = _all_degenerate(obj, tables, n, min_group)
+        coef, scales = _z_coefficients([obj], graph_constants(g), min_group)
+        degenerate = not coef[0].any()  # no size with A != 0
     else:
-        sizes = np.arange(-1, n + 1)
-        kill = np.where((sizes >= min_group) & (sizes <= n - min_group),
-                        0.0, np.inf)
+        kill = _size_penalty(n, min_group)
 
     best, at = -np.inf, None
     step = max(1, _GRID_CELLS >> (n - h))
@@ -874,10 +875,8 @@ def fit_all_candidates(g: Graph, cfg: FitConfig | None = None) -> dict[str, FitR
     config, bit for bit.  On a graph of at least ``_FORK_MIN_N`` nodes, with
     2 or more CPUs available, each candidate is fitted in a process of its
     own (see ``_per_candidate``); otherwise all three run in one
-    ``_lane_search``, on one set of graph constants and moment tables: as
-    3 x restarts lanes up to ``_DENSE_MAX_N`` nodes, then with Z_d
-    restart by restart beside 2 x restarts Z_w lanes, and from
-    ``_SERIAL_MIN_N`` nodes all three restart by restart.
+    ``_lane_search``, on one coefficient table, each as lanes or restart by
+    restart as ``_by_restart`` says.
     """
     cfg = cfg if cfg is not None else FitConfig()
     objs = [Objective(kind) for kind in CANDIDATE_KINDS]

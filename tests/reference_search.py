@@ -12,13 +12,19 @@ from bicomm.edgestats import (Partition, _degree_group_sums, _q_values,
                               as_labels, moment_arrays, within_counts)
 from bicomm.graph import graph_constants
 from bicomm.optimizer import (_IMPROVE_EPS, _Z_FAMILY, FitConfig, FitResult,
-                              Objective, _all_degenerate, _random_valid_labels,
-                              _z_at, _z_coefficients)
+                              Objective, _random_valid_labels)
+
+
+def _degenerate_everywhere(kind, tables, n_nodes, min_group):
+    """Whether the null variance of ``kind`` is degenerate at every group
+    size in [min_group, N - min_group], by the moment tables' flags."""
+    flags = tables[5] if kind is Objective.ZD_MAX else tables[4]
+    return bool(flags[min_group:n_nodes - min_group + 1].all())
 
 
 def _z_values(kind, r1, r2, m, n_nodes, tables):
     """Objective values from within counts; works on scalars or arrays.
-    Degenerate group sizes give 0, invalid ones NaN."""
+    Degenerate group sizes give 0 (-0.0 for ZW_MIN), invalid ones NaN."""
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = tables
     m = np.asarray(m, dtype=np.intp)
     r1 = np.asarray(r1, dtype=np.float64)
@@ -58,7 +64,8 @@ def reference_greedy_fit(g, obj, cfg=None):
         if not cfg.min_group <= mw <= n - cfg.min_group:
             raise ValueError("warm_start violates the minimum group size")
 
-    if tables is not None and _all_degenerate(obj, tables, n, cfg.min_group):
+    if tables is not None and _degenerate_everywhere(obj, tables, n,
+                                                     cfg.min_group):
         lab0 = warm if warm is not None else _random_valid_labels(
             np.random.default_rng(cfg.seed), n, cfg.min_group)
         return FitResult(labels=Partition(lab0), value=0.0,
@@ -190,9 +197,8 @@ def reference_exhaustive_fit(g, obj, min_group=2):
     degenerate = False
     if obj in _Z_FAMILY:
         tables = moment_arrays(graph_constants(g))
-        coef, scales = _z_coefficients([obj], tables, n, min_group)
-        vals = _z_at(coef, scales[0], m + 1, r1, r2)
-        degenerate = _all_degenerate(obj, tables, n, min_group)
+        vals = _z_values(obj, r1, r2, m, n, tables)
+        degenerate = _degenerate_everywhere(obj, tables, n, min_group)
     else:
         vals = _q_values(obj is Objective.QD_MAX, r1, r2,
                          *_degree_group_sums(g, vecs),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bicomm.edgestats import (Partition, as_labels, block_counts, flip_delta,
                               modularity_q, moment_arrays, perm_null_moments,
                               q_d, r_d, r_w, within_counts, z_d, z_w)
-from bicomm.graph import Graph, graph_constants
+from bicomm.graph import Graph, GraphConstants, graph_constants
 from bicomm.optimizer import (FitConfig, Objective, _random_valid_labels,
                               greedy_fit)
 
@@ -286,15 +286,39 @@ def test_scalar_moments_equal_table_rows(case):
     """perm_null_moments(c, m, N - m) is row m of moment_arrays(c), bit for
     bit, for every m in 2..N-2."""
     g, _ = case
-    c = graph_constants(g)
+    assert_moment_rows_agree(graph_constants(g))
+
+
+def assert_moment_rows_agree(c):
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = moment_arrays(c)
-    n = g.n_nodes
+    n = c.n_nodes
     for m in range(2, n - 1):
         mom = perm_null_moments(c, m, n - m)
         got = (mom.mu_w, mom.sigma_w, mom.mu_d, mom.sigma_d)
         want = (mu_w[m], s_w[m], mu_d[m], s_d[m])
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
         assert (mom.degenerate_w, mom.degenerate_d) == (deg_w[m], deg_d[m])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_scalar_moments_equal_table_rows_at_the_bound(directed):
+    """The scalar moments divide exact integers and the table rows rounded
+    floats; the two agree at every m while N (N - 1) (N - 2)^2 < 2^53, whose
+    largest N is 9,743.  Constants of a 10-regular graph at that N (10 out-
+    and 10 in-edges per node when directed, with 2,000 reciprocal arcs),
+    built directly: no graph is needed."""
+    n, k = 9743, 10
+    assert n * (n - 1) * (n - 2) ** 2 < 2 ** 53 <= (n + 1) * n * (n - 1) ** 2
+    if directed:
+        q1 = 2000
+        e = n * k
+        q2 = e * e - e + q1 - 2 * n * k * k - 2 * n * k * (k - 1)
+    else:
+        q1 = 0
+        e = n * k // 2
+        q2 = e * e - e - n * k * (k - 1)
+    assert_moment_rows_agree(GraphConstants(n_nodes=n, g_size=e, q1=q1,
+                                            q2=q2, directed=directed))
 
 
 @settings(max_examples=80, deadline=None)
