@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgestats import Partition
-from .graph import Graph
+from .graph import Graph, _integer
 
 # Largest m + n the samplers accept: they draw N x N float arrays, 800 MB
 # each at this size.
@@ -115,7 +115,7 @@ class PlantedGraph:
 
 def sample_theta(spec: ThetaSpec, count: int, rng: np.random.Generator):
     """iid draws from the mean-1 law given by ``spec``."""
-    count = int(count)
+    count = _integer(count, "count")
     if count < 0:
         raise ValueError("count must be >= 0")
     if spec.kind == "const":
@@ -132,12 +132,16 @@ def sample_theta(spec: ThetaSpec, count: int, rng: np.random.Generator):
 
 
 def _check_size(m, n):
-    total = int(m) + int(n)
+    """``(m, n)`` as ints (see ``graph._integer``), or ValueError when their
+    sum exceeds ``_MAX_NODES``."""
+    m, n = _integer(m, "m"), _integer(n, "n")
+    total = m + n
     if total > _MAX_NODES:
         mb = 8 * total * total / 1e6
         raise ValueError(
             f"m + n = {total} exceeds the samplers' limit of {_MAX_NODES} "
             f"nodes (each N x N array would take {mb:,.0f} MB)")
+    return m, n
 
 
 def _planted_probs(p: ConnectivityMatrix, m, n, thetas):
@@ -153,8 +157,6 @@ def _planted_probs(p: ConnectivityMatrix, m, n, thetas):
 
 
 def _sample_planted(p, m, n, thetas, directed, rng):
-    m = int(m)
-    n = int(n)
     if m < 2 or n < 2:
         raise ValueError("each community needs at least 2 nodes")
     if not directed and not p.symmetric:
@@ -179,8 +181,8 @@ def sample_sbm(p: ConnectivityMatrix, m: int, n: int, directed: bool,
     """Stochastic block model draw: each node pair gets an edge independently
     with the block probability; community 1 nodes come first.  Raises
     ValueError when m + n exceeds 10,000, before any allocation."""
-    _check_size(m, n)
-    return _sample_planted(p, m, n, np.ones(int(m) + int(n)), directed, rng)
+    m, n = _check_size(m, n)
+    return _sample_planted(p, m, n, np.ones(m + n), directed, rng)
 
 
 def sample_dcsbm(p: ConnectivityMatrix, m: int, n: int, spec: ThetaSpec,
@@ -189,8 +191,8 @@ def sample_dcsbm(p: ConnectivityMatrix, m: int, n: int, spec: ThetaSpec,
     min(1, theta_i theta_j P_ab).  Thetas are drawn first (node order), so
     the graph and multipliers share one stream deterministically.  Raises
     ValueError when m + n exceeds 10,000, before any draw."""
-    _check_size(m, n)
-    thetas = sample_theta(spec, int(m) + int(n), rng)
+    m, n = _check_size(m, n)
+    thetas = sample_theta(spec, m + n, rng)
     return _sample_planted(p, m, n, thetas, directed, rng)
 
 
@@ -198,8 +200,9 @@ def replicate_rngs(seed: int, rep: int):
     """Stream-splitting rule for simulation sweeps: replicate ``rep`` under
     base ``seed`` gets an independent graph generator and fit seed, regardless
     of scheduling order.  Returns (graph_rng, fit_seed)."""
+    seed, rep = _integer(seed, "seed"), _integer(rep, "replicate index")
     if seed < 0 or rep < 0:
         raise ValueError("seed and replicate index must be non-negative")
-    ss = np.random.SeedSequence([int(seed), int(rep)])
+    ss = np.random.SeedSequence([seed, rep])
     graph_key, fit_key = ss.generate_state(2)
     return np.random.default_rng(int(graph_key)), int(fit_key)

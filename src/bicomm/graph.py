@@ -66,10 +66,16 @@ class Graph:
         holds the token that was mapped to node i.
     duplicate_edges : int, optional
         Number of duplicate input rows dropped by the loader.
+
+    Attributes ``k_out``, ``k_in`` and ``k_inc`` are read-only int64 arrays
+    of each node's out-, in- and incident edges.  ``k_inc`` counts every
+    stored edge touching the node, so a reciprocal pair counts 2: it is
+    ``k_out + k_in`` when directed and the degree (``k_out`` and ``k_in``
+    alike) when undirected.
     """
 
     __slots__ = ("n_nodes", "directed", "edges", "node_names",
-                 "duplicate_edges", "k_out", "k_in",
+                 "duplicate_edges", "k_out", "k_in", "k_inc",
                  "_inc_indptr", "_inc_indices")
 
     def __init__(self, n_nodes, edges, directed, node_names=None,
@@ -102,16 +108,15 @@ class Graph:
         self.node_names = tuple(node_names) if node_names is not None else None
         self.duplicate_edges = int(duplicate_edges)
 
+        k_out = np.bincount(e[:, 0], minlength=n_nodes).astype(np.int64)
+        k_in = np.bincount(e[:, 1], minlength=n_nodes).astype(np.int64)
+        self.k_inc = k_out + k_in
         if self.directed:
-            self.k_out = np.bincount(e[:, 0], minlength=n_nodes).astype(np.int64)
-            self.k_in = np.bincount(e[:, 1], minlength=n_nodes).astype(np.int64)
+            self.k_out, self.k_in = k_out, k_in
         else:
-            deg = (np.bincount(e[:, 0], minlength=n_nodes)
-                   + np.bincount(e[:, 1], minlength=n_nodes)).astype(np.int64)
-            self.k_out = deg
-            self.k_in = deg
-        self.k_out.setflags(write=False)
-        self.k_in.setflags(write=False)
+            self.k_out = self.k_in = self.k_inc
+        for k in (self.k_out, self.k_in, self.k_inc):
+            k.setflags(write=False)
         self._inc_indptr = None
         self._inc_indices = None
 
@@ -125,11 +130,11 @@ class Graph:
 
     @property
     def degrees(self):
-        """Undirected degrees (k_in + k_out when directed would double-count
-        reciprocal pairs, so this is only defined for undirected graphs)."""
+        """Undirected degrees: ``k_inc`` under another name.  Directed graphs
+        raise; read ``k_inc`` (a reciprocal pair counting 2) there."""
         if self.directed:
-            raise ValueError("degrees is undirected-only; use k_in/k_out")
-        return self.k_out
+            raise ValueError("degrees is undirected-only; use k_inc")
+        return self.k_inc
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -143,28 +148,16 @@ class Graph:
         of its two endpoints): the v of each row (i, v), then the u of each
         row (u, i), both in row order.  Returns ``(indptr, indices)``."""
         if self._inc_indptr is None:
-            n, n_rows = self.n_nodes, self.n_edges
             u, v = self.edges[:, 0], self.edges[:, 1]
-            n_out = np.bincount(u, minlength=n)
-            n_in = np.bincount(v, minlength=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(n_out + n_in, out=indptr[1:])
-            indices = np.empty(2 * n_rows, dtype=np.int64)
-            rows = np.arange(n_rows)
-            # rows are sorted by u: row r is out-entry r - (rows with a
-            # smaller u) of node u, after the in-entries of the nodes below
-            at = (np.cumsum(n_in) - n_in)[u]
-            at += rows
-            indices[at] = v
-            # a stable sort by v lists each node's in-rows in row order;
-            # on 16 bits numpy sorts it by radix
-            by_v = np.argsort(v.astype(np.uint16) if n <= 2**16 else v,
-                              kind="stable")
-            at = np.cumsum(n_out)[v[by_v]]
-            at += rows
-            indices[at] = u[by_v]
+            # a stable sort of both ends keeps each node's entries in that
+            # order; on 16 bits numpy sorts it by radix
+            key = np.uint16 if self.n_nodes <= 2**16 else np.int64
+            order = np.argsort(np.concatenate((u, v), dtype=key,
+                                              casting="unsafe"), kind="stable")
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+            np.cumsum(self.k_inc, out=indptr[1:])
             self._inc_indptr = indptr
-            self._inc_indices = indices
+            self._inc_indices = np.concatenate((v, u))[order]
         return self._inc_indptr, self._inc_indices
 
     def incident_nodes(self, i):

@@ -15,7 +15,7 @@ import numpy as np
 from .edgestats import (Partition, _degree_group_sums, _q_values,
                         _z_from_counts, as_labels, modularity_q,
                         moment_arrays, q_d, within_counts)
-from .graph import Graph, _edge_keys, graph_constants
+from .graph import Graph, _edge_keys, _integer, graph_constants
 
 _IMPROVE_EPS = 1e-12  # strict improvement threshold: no cycling on plateaus
 _CHECK_EVERY = 100    # incremental bookkeeping audited against full recounts
@@ -94,6 +94,9 @@ class FitConfig:
     warm_start: optional partition used in place of the random start of
                 restart 0
     max_iters : per-restart flip cap; defaults to N^2
+
+    The counts and the seed must be integral (``graph._integer``): an
+    integral float is kept as an int, any other value is a ValueError.
     """
     restarts: int = 20
     seed: int = 0
@@ -102,6 +105,10 @@ class FitConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "min_group", "max_iters"):
+            value = getattr(self, name)
+            if value is not None:  # frozen: set through object
+                object.__setattr__(self, name, _integer(value, name))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.min_group < 2:
@@ -238,8 +245,7 @@ class _Lanes:
         n_lanes = len(objs) * len(starts)
         self.g, self.objs, self.restarts = g, objs, len(starts)
         indptr, indices = g.incidence()
-        inc_counts = np.diff(indptr)
-        ends = np.repeat(np.arange(n), inc_counts)
+        ends = np.repeat(np.arange(n), g.k_inc)
         self.z_family = scales is not None
         self.k_out = g.k_out.astype(np.float64)
         self.k_in = g.k_in.astype(np.float64)
@@ -254,11 +260,11 @@ class _Lanes:
             w1 = labels @ self.adj
         else:
             self.adj = None
-            self.indptr, self.indices, self.inc_counts = indptr, indices, inc_counts
+            self.indptr, self.indices = indptr, indices
             w1 = np.stack([np.bincount(ends, weights=lab[indices], minlength=n)
                            for lab in labels])
         is1 = labels == 1
-        w0 = inc_counts - w1
+        w0 = g.k_inc - w1
         # lane k R + r is restart r of objective k
         tiles = (len(objs), 1)
         self.lane = np.arange(n_lanes)
@@ -339,7 +345,7 @@ class _Lanes:
         else:
             # every incident entry of a flipped node, gathered from the CSR
             # lists
-            lens = self.inc_counts[best]
+            lens = self.g.k_inc[best]
             cut = np.cumsum(lens)
             pos = np.repeat(self.indptr[best] - cut + lens, lens) + np.arange(cut[-1])
             nb = self.indices[pos] + np.repeat(self.rows_n, lens)
@@ -393,7 +399,7 @@ class _DegreeOrder:
 
     R1 - R2 = T1 - |E|, with T1 the incident-edge total of group 1, so the
     flip of node i moves D = R1 - R2 by +k_i into group 1 and by -k_i out
-    of it (k_i its incident edges, a reciprocal pair counting 2), and
+    of it (k_i its incident edges, ``Graph.k_inc``), and
     T = D +- k_i.  The best add is group 0's highest-degree node, the best
     removal group 1's lowest-degree node, the lower index among equal
     degrees: the first node of the side in the order (-k, index) or
@@ -401,7 +407,7 @@ class _DegreeOrder:
     """
 
     def __init__(self, g):
-        k = np.diff(g.incidence()[0])
+        k = g.k_inc
         nodes = np.arange(g.n_nodes)
         # side 0 (adds) scans by falling degree, side 1 (removals) by rising
         self.orders = (np.lexsort((nodes, -k)), np.lexsort((nodes, k)))
@@ -443,7 +449,7 @@ class _FlipKeys:
     """Z_w's best flip of each side, for ``_z_by_restart``.
 
     With w1_i the incident edges of node i whose other end is labelled 1
-    and k_i all of them (a reciprocal pair counting 2), the T of node i's
+    and k_i all of them (``Graph.k_inc``), the T of node i's
     flip is a constant of the step plus (N - 2) w1_i - m1 k_i for an add
     (A = N - m1 - 2, B = m1) and (m1 - 2) k_i - (N - 2) w1_i for a removal
     (A = N - m1, B = m1 - 2), since A + B = N - 2.  Times s, which is -1
@@ -460,7 +466,7 @@ class _FlipKeys:
 
     def __init__(self, g, a, b, sign):
         self.indptr, self.indices = g.incidence()
-        self.k = np.diff(self.indptr)
+        self.k = g.k_inc
         self.a, self.b, self.s, self.p = a, b, sign, g.n_nodes - 2
         self.kl, self.sk = self.k.tolist(), sign * self.k
         self.ptr = self.indptr.tolist()
@@ -736,6 +742,7 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     n = g.n_nodes
     if n > 20:
         raise ValueError("exhaustive search is limited to 20 nodes")
+    min_group = _integer(min_group, "min_group")
     if min_group < 2:
         raise ValueError("min_group must be >= 2")
     if n < 2 * min_group:
@@ -748,7 +755,7 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     u = np.zeros((n, n))
     np.add.at(u.reshape(-1), _edge_keys(g.edges, n, directed=False), 1.0)
     # group 1's out-, in- and incident-edge totals
-    w = np.stack([g.k_out, g.k_in, u.sum(axis=0) + u.sum(axis=1)], axis=1)
+    w = np.stack([g.k_out, g.k_in, g.k_inc], axis=1).astype(np.float64)
 
     def half(x, s):
         """Within-half R1 and the group-1 sums of each labeling."""

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .genmodels import ConnectivityMatrix
-from .graph import Graph
+from .graph import Graph, _integer
 from .edgestats import within_counts
 
 _REL_TOL = 1e-9
@@ -26,7 +26,7 @@ def enumerate_null_moments(g: Graph, m_x: int):
     n = g.n_nodes
     if n > 12:
         raise ValueError("enumeration is limited to 12 nodes")
-    m_x = int(m_x)
+    m_x = _integer(m_x, "m_x")
     if not 2 <= m_x <= n - 2:
         raise ValueError("need 2 <= m_x <= N - 2")
     n_x = n - m_x
@@ -146,8 +146,7 @@ def verify_theorem_2_3(p: ConnectivityMatrix, m: int, n: int) -> TheoremGridRepo
     reports whether the max (min, for a negative w-condition) sits at (0,0)
     or (m,n).  m, n <= 30.
     """
-    m = int(m)
-    n = int(n)
+    m, n = _integer(m, "m"), _integer(n, "n")
     if m > 30 or n > 30:
         raise ValueError("grid verification is limited to m, n <= 30")
     if m < 2 or n < 2:

@@ -172,10 +172,7 @@ def gamma_tau_select(g: Graph, candidates: dict[str, FitResult]) -> SelectionOut
 
 def theta_mle(g: Graph, x) -> ThetaEstimates:
     lab = as_labels(x, g.n_nodes)
-    if g.directed:
-        deg = (g.k_in + g.k_out).astype(np.float64)
-    else:
-        deg = g.k_out.astype(np.float64)
+    deg = g.k_inc.astype(np.float64)
     theta = np.ones(g.n_nodes)
     variances = []
     for label in (1, 0):
@@ -264,7 +261,7 @@ def _penalized_details(g, x, lam, kind, layout=None):
     th = theta_mle(g, x)
     # theta_hat is a function of (block, degree), so every pair term is one
     # of a (class, class) table, each entry built as (P_ab * theta_i) * theta_j
-    deg = g.k_in + g.k_out if g.directed else g.k_out
+    deg = g.k_inc
     span = int(deg.max()) + 1
     key = np.where(lab == 1, 0, span) + deg
     present = np.flatnonzero(np.bincount(key))

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, replicate_rngs,
+                              sample_dcsbm, sample_sbm, sample_theta)
 from bicomm.graph import (Graph, GraphFormatError, graph_constants,
                           load_edge_list)
+from bicomm.optimizer import FitConfig, Objective, exhaustive_fit
+from bicomm.oracle import enumerate_null_moments, verify_theorem_2_3
 
 
 def test_graph_basic_invariants():
@@ -25,6 +29,21 @@ def test_degree_identities():
     assert g.k_in.sum() == g.n_edges
     gu = Graph(5, [(0, 1), (2, 3), (0, 4)], directed=False)
     assert gu.degrees.sum() == 2 * gu.n_edges
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_incident_degrees(directed):
+    # 0 and 1 are reciprocal when directed; 5 is isolated
+    edges = [(0, 1), (1, 2), (3, 1), (0, 4)] + ([(1, 0)] if directed else [])
+    g = Graph(6, edges, directed)
+    assert g.k_inc.dtype == np.int64
+    assert g.k_inc.tolist() == ([3, 4, 1, 1, 1, 0] if directed
+                                else [2, 3, 1, 1, 1, 0])
+    np.testing.assert_array_equal(g.k_inc, g.k_out + g.k_in if directed
+                                  else g.degrees)
+    np.testing.assert_array_equal(g.k_inc, np.diff(g.incidence()[0]))
+    with pytest.raises(ValueError, match="read-only"):
+        g.k_inc[0] = 0
 
 
 def test_rejects_self_loops_duplicates_bad_endpoints():
@@ -49,6 +68,51 @@ def test_rejects_non_integral_input(n_nodes, edges):
     """Non-integral nodes or endpoints are refused, not truncated."""
     with pytest.raises(ValueError, match="must be integers|must be an integer"):
         Graph(n_nodes, edges, directed=False)
+
+
+_P = ConnectivityMatrix(0.5, 0.2, 0.2, 0.5)
+_SPEC = ThetaSpec.pareto(3)
+_CYCLE = Graph(8, [(i, (i + 1) % 8) for i in range(8)], directed=False)
+# (entry point, argument name, call with a non-integral value)
+NON_INTEGRAL = [
+    ("sample_sbm", "m",
+     lambda rng: sample_sbm(_P, 10.7, 10, False, rng)),
+    ("sample_dcsbm", "n",
+     lambda rng: sample_dcsbm(_P, 10, 10.9, _SPEC, False, rng)),
+    ("sample_theta", "count", lambda rng: sample_theta(_SPEC, 3.7, rng)),
+    ("FitConfig", "restarts", lambda rng: FitConfig(restarts=2.5)),
+    ("FitConfig", "seed", lambda rng: FitConfig(seed=1.5)),
+    ("FitConfig", "min_group", lambda rng: FitConfig(min_group=2.5)),
+    ("FitConfig", "max_iters", lambda rng: FitConfig(max_iters=3.5)),
+    ("exhaustive_fit", "min_group",
+     lambda rng: exhaustive_fit(_CYCLE, Objective.ZW_MAX, 2.5)),
+    ("replicate_rngs", "seed", lambda rng: replicate_rngs(1.5, 0)),
+    ("replicate_rngs", "replicate index",
+     lambda rng: replicate_rngs(1, float("nan"))),
+    ("enumerate_null_moments", "m_x",
+     lambda rng: enumerate_null_moments(_CYCLE, 3.5)),
+    ("verify_theorem_2_3", "m", lambda rng: verify_theorem_2_3(_P, 5.5, 5)),
+]
+
+
+@pytest.mark.parametrize("name, call", [case[1:] for case in NON_INTEGRAL],
+                         ids=[f"{entry}-{name}"
+                              for entry, name, _ in NON_INTEGRAL])
+def test_entry_points_refuse_non_integral_sizes_and_seeds(name, call):
+    """Every size, count and seed goes through ``graph._integer``: a
+    non-integral value is refused, not truncated."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(np.random.default_rng(0))
+
+
+def test_integral_float_sizes_and_seeds_are_kept_as_ints():
+    cfg = FitConfig(restarts=3.0, seed=2.0, min_group=3.0, max_iters=7.0)
+    assert cfg == FitConfig(restarts=3, seed=2, min_group=3, max_iters=7)
+    assert all(type(getattr(cfg, name)) is int
+               for name in ("restarts", "seed", "min_group", "max_iters"))
+    pg = sample_sbm(_P, 10.0, 10, False, np.random.default_rng(0))
+    assert pg.graph.n_nodes == 20 and pg.truth.m_x == 10
+    assert replicate_rngs(1.0, 2)[1] == replicate_rngs(1, 2)[1]
 
 
 def test_accepts_integral_floats():

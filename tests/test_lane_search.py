@@ -82,6 +82,9 @@ def assert_same_fit(got, want):
 @settings(max_examples=60, deadline=None)
 @given(case=fit_cases(), obj=st.sampled_from(list(Objective)))
 @example(case=(star(9), FitConfig(restarts=3, seed=5)), obj=Objective.ZW_MIN)
+# two adds of equal degree: degree order must take the lower index
+@example(case=(Graph(5, [(0, 1), (2, 3)], directed=False),
+               FitConfig(restarts=1, seed=90)), obj=Objective.ZD_MAX)
 def test_greedy_fit_matches_reference(case, obj):
     g, cfg = case
     if obj not in _Z_FAMILY and g.n_edges == 0:

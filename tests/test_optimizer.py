@@ -198,6 +198,12 @@ def test_drift_audit_checks_every_lane(monkeypatch):
         fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
         # one recount per lane per flip
         assert len(audited) == sum(f.iterations for f in fits.values()) > 0
+        # the modularity lanes, audited against modularity_q (qd makes no
+        # flip, so it has no audit to check)
+        audited.clear()
+        fit = greedy_fit(pg.graph, Objective.Q_MAX,
+                         FitConfig(restarts=5, seed=3))
+        assert len(audited) == fit.iterations > 0
     # Z_d alone, by degree order (the cutoff is still N - 1), then Z_w on
     # exact flip keys
     monkeypatch.setattr(optimizer, "_SERIAL_MIN_N", n)
@@ -223,6 +229,8 @@ def test_drift_audit_catches_miscount(monkeypatch):
         monkeypatch.setattr(optimizer, "_DENSE_MAX_N", cutoff)
         with pytest.raises(RuntimeError, match="drifted"):
             fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
+        with pytest.raises(RuntimeError, match="drifted"):
+            greedy_fit(pg.graph, Objective.Q_MAX, FitConfig(restarts=5, seed=3))
     # Z_d alone, by degree order (the cutoff is still N - 1), then Z_w on
     # exact flip keys
     monkeypatch.setattr(optimizer, "_SERIAL_MIN_N", n)

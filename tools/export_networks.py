@@ -16,6 +16,9 @@ Networks:
 - ``davis``: the Davis Southern Women graph (``davis_southern_women_graph``,
   32 nodes, undirected), truth the ``bipartite`` attribute: 0 for the 18
   women, 1 for the 14 events.
+- ``karate``: Zachary's karate club (``karate_club_graph``, 34 nodes,
+  undirected), truth the ``club`` attribute mapped to 0 for "Mr. Hi" and
+  1 for "Officer" before the export.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ def export(name, g, truth_attr):
 def main():
     DATA.mkdir(exist_ok=True)
     export("davis", nx.davis_southern_women_graph(), "bipartite")
+    karate = nx.karate_club_graph()
+    for _, attrs in karate.nodes(data=True):
+        attrs["club"] = int(attrs["club"] == "Officer")
+    export("karate", karate, "club")
     return 0
 
 
