@@ -159,8 +159,10 @@ def _r_w(n, m_x, r1, r2):
 
 
 def _moments(c: GraphConstants, m, n_x):
-    """(mu_w, var_w, mu_d, var_d) for group sizes m and n_x = N - m, as ints
-    or as float arrays; no threshold applied."""
+    """(mu_w, var_w, mu_d, var_d) for group sizes m and n_x = N - m, given
+    as float64 scalars or arrays; no threshold applied.  Every caller
+    passes floats, so the scalar moments and the table rows are one
+    computation, equal bit for bit at every N."""
     n = c.n_nodes
     gsz = float(c.g_size)
     q1 = float(c.q1)
@@ -190,7 +192,7 @@ def _null_moments(c: GraphConstants, m_x: int, n_x: int):
     n = m_x + n_x
     if n != c.n_nodes:
         raise ValueError(f"m_x + n_x = {n} != N = {c.n_nodes}")
-    mu_w, var_w, mu_d, var_d = _moments(c, m_x, n_x)
+    mu_w, var_w, mu_d, var_d = _moments(c, float(m_x), float(n_x))
     deg_w = _degenerate(c, var_w)
     deg_d = _degenerate(c, var_d)
     return (mu_w, 0.0 if deg_w else var_w, mu_d, 0.0 if deg_d else var_d,
@@ -203,6 +205,8 @@ def perm_null_moments(c: GraphConstants, m_x: int, n_x: int) -> MomentSet:
 
     Requires integral m_x, n_x >= 2 (the variance of R_w involves both group
     sizes minus one) and N = m_x + n_x equal to the graph's node count.
+    The closed forms are evaluated in float64, as the rows of
+    ``moment_arrays``, which these values equal bit for bit.
     """
     mu_w, var_w, mu_d, var_d, deg_w, deg_d = _null_moments(
         c, _integer(m_x, "m_x"), _integer(n_x, "n_x"))
@@ -259,12 +263,13 @@ def _degree_group_sums(g, lab):
     return ko1, ki1, float(g.k_out.sum()) - ko1, float(g.k_in.sum()) - ki1
 
 
-def _q_values(signed, r1, r2, ko1, ki1, ko0, ki0, total, directed):
-    """Q (or Q_d when ``signed``) from within counts and block degree sums;
-    works on scalars or arrays."""
+def _q_values(signed, r1, r2, ko1, ki1, ko0, ki0, g):
+    """Q (or Q_d when ``signed``) on graph ``g`` from within counts and
+    block degree sums; works on scalars or arrays."""
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
-    if directed:
+    total = float(g.n_edges)
+    if g.directed:
         t1 = r1 - ko1 * ki1 / total
         t2 = r2 - ko0 * ki0 / total
     else:
@@ -304,8 +309,7 @@ def q_d(g: Graph, x):
         raise ValueError("q_d is undefined on an empty graph")
     lab = as_labels(x, g.n_nodes)
     r1, r2 = _within(g, lab)[:2]
-    return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab),
-                           float(g.n_edges), g.directed))
+    return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab), g))
 
 
 def flip_delta(g: Graph, x, i: int):

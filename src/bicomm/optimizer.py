@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edgestats import (Partition, _degree_group_sums, _q_values,
-                        _z_from_counts, as_labels, modularity_q,
-                        moment_arrays, q_d, within_counts)
+                        _z_from_counts, as_labels, moment_arrays,
+                        within_counts)
 from .graph import Graph, _edge_keys, _integer, graph_constants
 
 _IMPROVE_EPS = 1e-12  # strict improvement threshold: no cycling on plateaus
@@ -173,11 +173,9 @@ def _z_coefficients(objs, c, min_group):
 
     ``edgestats._z_from_counts`` codes Z for ``z_w``/``z_d`` and the audits.
     IEEE arithmetic gives 1 R1 + (-1) R2 = R1 - R2 and x / (-y) = -(x / y)
-    exactly, so the two codings agree bit for bit where the rows of
-    ``moment_arrays`` equal ``perm_null_moments``: at every size while
-    N (N - 1) (N - 2)^2 < 2^53, that is up to N = 9,743.  Above that the
-    scalar moments divide exact integers, the tables rounded floats, and
-    the last bit can differ.
+    exactly, and the rows of ``moment_arrays`` equal ``perm_null_moments``
+    bit for bit (one float coding, ``edgestats._moments``), so the two
+    codings agree bit for bit at every N.
     """
     n = c.n_nodes
     mu_w, s_w, mu_d, s_d, deg_w, deg_d = moment_arrays(c)
@@ -231,12 +229,12 @@ class _Lanes:
     -w1/+w0 for one labelled 1, with w1/w0 its incident edges whose other
     end is labelled 1/0.  Per lane: R1, R2, m1, the current value and, for
     the modularity objectives, group 1's degree sums (group 0's are the
-    totals less these, exact in float64).  Every running lane has made the
-    same number of flips; a lane that stops is recorded and its row
-    dropped.  A flip moves d1 and d2 of the flipped node's neighbours:
-    on graphs of at most ``_DENSE_MAX_N`` nodes by the node's row of the
-    dense incident-edge count matrix ``adj``, on larger ones through the CSR
-    incidence lists.  Both count in integers held exactly in float64, so
+    totals ``ko_all``/``ki_all`` less these, exact in float64).  Every
+    running lane has made the same number of flips; a lane that stops is
+    recorded and its row dropped.  A flip moves d1 and d2 of the flipped
+    node's neighbours: on graphs of at most ``_DENSE_MAX_N`` nodes by the
+    node's row of the dense incident-edge count matrix ``adj``, on larger
+    ones through the CSR incidence lists.  Both count in integers held exactly in float64, so
     the two forms give the same bits.
     """
 
@@ -247,8 +245,6 @@ class _Lanes:
         indptr, indices = g.incidence()
         ends = np.repeat(np.arange(n), g.k_inc)
         self.z_family = scales is not None
-        self.k_out = g.k_out.astype(np.float64)
-        self.k_in = g.k_in.astype(np.float64)
 
         # w1[r, i]: the incident edges of node i whose other end restart r
         # labels 1
@@ -286,10 +282,12 @@ class _Lanes:
         else:
             self.toff = np.ones(n_lanes, dtype=np.intp)
             self.signed = objs[0] is Objective.QD_MAX
+            self.k_out = g.k_out.astype(np.float64)
+            self.k_in = g.k_in.astype(np.float64)
+            self.ko_all, self.ki_all = self.k_out.sum(), self.k_in.sum()
             sums = _degree_group_sums(g, self.sg < 0)
             self.ko1, self.ki1 = sums[:2]
-            self.cur = _q_values(self.signed, self.r1, self.r2, *sums,
-                                 float(g.n_edges), g.directed)
+            self.cur = _q_values(self.signed, self.r1, self.r2, *sums, g)
             self.fields = ("ko1", "ki1")
         self.fields += ("lane", "sg", "d1", "d2", "r1", "r2", "m1", "cur", "toff")
         self.rows_n = self.lane * n
@@ -314,8 +312,7 @@ class _Lanes:
         ki1n = self.sg * self.k_in
         ki1n += self.ki1[:, None]
         v = _q_values(self.signed, r1n, r2n, ko1n, ki1n,
-                      self.k_out.sum() - ko1n, self.k_in.sum() - ki1n,
-                      float(self.g.n_edges), self.g.directed)
+                      self.ko_all - ko1n, self.ki_all - ki1n, self.g)
         v -= self.table.take(idx)
         return v
 
@@ -378,8 +375,10 @@ class _Lanes:
 
 def _audit(g, lab, obj, c, cur, counts_hold):
     """Raise unless ``counts_hold(R1, R2)`` for a recount of ``lab`` and
-    ``cur`` is the from-scratch objective there.  A Z objective is scored
-    from that one recount."""
+    ``cur`` equals, bit for bit, the objective scored from that one
+    recount: Z by ``_z_from_counts`` (which the search's tables reproduce
+    exactly, see ``_z_coefficients``), Q and Q_d by ``_q_values`` on the
+    recount and the group degree sums, the coding the lanes price with."""
     r1, r2 = within_counts(g, lab)
     if obj in _Z_FAMILY:
         m_x = int(np.count_nonzero(lab))
@@ -387,9 +386,9 @@ def _audit(g, lab, obj, c, cur, counts_hold):
                                obj is not Objective.ZD_MAX)
         fresh = -fresh if obj is Objective.ZW_MIN else fresh
     else:
-        fresh = modularity_q(g, lab) if obj is Objective.Q_MAX else q_d(g, lab)
-    if (not counts_hold(r1, r2)
-            or abs(fresh - cur) > 1e-9 * (1 + abs(cur))):
+        fresh = _q_values(obj is Objective.QD_MAX, r1, r2,
+                          *_degree_group_sums(g, lab), g)
+    if not counts_hold(r1, r2) or fresh != cur:
         raise RuntimeError("incremental bookkeeping drifted from "
                            "the from-scratch objective")
 
@@ -790,8 +789,7 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
             ki1 = hs[:, 2] + sl[:, 2]
             vals = _q_values(obj is Objective.QD_MAX, r1, r2, ko1, ki1,
                              float(g.k_out.sum()) - ko1,
-                             float(g.k_in.sum()) - ki1,
-                             float(g.n_edges), g.directed)
+                             float(g.k_in.sum()) - ki1, g)
             vals -= kill[slot]
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if at is None or vals[i, j] > best:  # ties keep the earlier vector

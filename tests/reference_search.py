@@ -78,8 +78,6 @@ def reference_greedy_fit(g, obj, cfg=None):
     ends = np.repeat(np.arange(n), inc_counts)
     k_out = g.k_out.astype(np.float64)
     k_in = g.k_in.astype(np.float64)
-    total = float(g.n_edges)
-    directed = g.directed
     signed = obj is Objective.QD_MAX
 
     best_val = -np.inf
@@ -107,8 +105,7 @@ def reference_greedy_fit(g, obj, cfg=None):
             ki1 = float(k_in[sel].sum())
             ko0 = float(k_out.sum() - ko1)
             ki0 = float(k_in.sum() - ki1)
-            cur = float(_q_values(signed, r1, r2, ko1, ki1, ko0, ki0,
-                                  total, directed))
+            cur = float(_q_values(signed, r1, r2, ko1, ki1, ko0, ki0, g))
 
         iters = 0
         while iters < max_iters:
@@ -125,8 +122,7 @@ def reference_greedy_fit(g, obj, cfg=None):
                 ko1n = ko1 + np.where(is1, -k_out, k_out)
                 ki1n = ki1 + np.where(is1, -k_in, k_in)
                 vals = _q_values(signed, r1n, r2n, ko1n, ki1n,
-                                 ko0 + ko1 - ko1n, ki0 + ki1 - ki1n,
-                                 total, directed)
+                                 ko0 + ko1 - ko1n, ki0 + ki1 - ki1n, g)
             vals = np.where(valid, vals, -np.inf)
             vals = np.where(np.isnan(vals), -np.inf, vals)
             b = int(np.argmax(vals))
@@ -201,8 +197,7 @@ def reference_exhaustive_fit(g, obj, min_group=2):
         degenerate = _degenerate_everywhere(obj, tables, n, min_group)
     else:
         vals = _q_values(obj is Objective.QD_MAX, r1, r2,
-                         *_degree_group_sums(g, vecs),
-                         float(g.n_edges), g.directed)
+                         *_degree_group_sums(g, vecs), g)
     vals = np.where(valid, vals, -np.inf)
     b = int(np.argmax(vals))
     return FitResult(labels=Partition(vecs[b]), value=float(vals[b]),

@@ -207,6 +207,12 @@ def test_zw_flip_keys_on_a_large_graph(obj):
         assert_same_fit(fit, greedy_fit(g, obj, cfg))
 
 
+def test_key_bound_keeps_the_flip_key_exact():
+    """``_z_by_restart`` orders flips by T exactly while
+    10 (N - 2)|E| < 2^53, which N |E| < _KEY_MAX must ensure."""
+    assert 10 * optimizer._KEY_MAX <= 2 ** 53
+
+
 def test_key_bound_sends_larger_graphs_to_the_lanes(monkeypatch):
     """Z_d and Z_w go restart by restart only while N |E| < _KEY_MAX; at
     the bound they run as lanes, with the same fit."""

@@ -8,7 +8,7 @@ import pytest
 from bicomm import optimizer
 from bicomm.edgestats import Partition, modularity_q, z_d, z_w
 from bicomm.genmodels import ConnectivityMatrix, sample_sbm
-from bicomm.graph import Graph
+from bicomm.graph import Graph, graph_constants
 from bicomm.optimizer import (FitConfig, Objective, exhaustive_fit,
                               fit_all_candidates, greedy_fit)
 
@@ -179,9 +179,12 @@ def test_restart_iterations_per_restart():
     assert empty.restart_iterations == [0, 0, 0]
 
 
-def test_drift_audit_checks_every_lane(monkeypatch):
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["undirected", "directed"])
+def test_drift_audit_checks_every_lane(directed, monkeypatch):
     rng = np.random.default_rng(11)
-    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, True, rng)
+    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, directed,
+                    rng)
     honest = optimizer.within_counts
     audited = []
 
@@ -198,8 +201,8 @@ def test_drift_audit_checks_every_lane(monkeypatch):
         fits = fit_all_candidates(pg.graph, FitConfig(restarts=5, seed=3))
         # one recount per lane per flip
         assert len(audited) == sum(f.iterations for f in fits.values()) > 0
-        # the modularity lanes, audited against modularity_q (qd makes no
-        # flip, so it has no audit to check)
+        # the modularity lanes, audited exactly against _q_values of the
+        # recount (qd makes no flip, so it has no audit to check)
         audited.clear()
         fit = greedy_fit(pg.graph, Objective.Q_MAX,
                          FitConfig(restarts=5, seed=3))
@@ -213,9 +216,12 @@ def test_drift_audit_checks_every_lane(monkeypatch):
         assert len(audited) == fit.iterations > 0
 
 
-def test_drift_audit_catches_miscount(monkeypatch):
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["undirected", "directed"])
+def test_drift_audit_catches_miscount(directed, monkeypatch):
     rng = np.random.default_rng(11)
-    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, True, rng)
+    pg = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, directed,
+                    rng)
     honest = optimizer.within_counts
 
     def off_by_one(g, x):
@@ -237,6 +243,60 @@ def test_drift_audit_catches_miscount(monkeypatch):
     for obj in (Objective.ZD_MAX, Objective.ZW_MAX, Objective.ZW_MIN):
         with pytest.raises(RuntimeError, match="drifted"):
             greedy_fit(pg.graph, obj, FitConfig(restarts=5, seed=3))
+
+
+@pytest.mark.parametrize("obj", list(Objective), ids=lambda o: o.value)
+def test_audit_demands_exact_equality(obj):
+    """The audit accepts a fit's own value at its labels and refuses that
+    value one unit in the last place off, either way, for every
+    objective."""
+    rng = np.random.default_rng(4)
+    g = sample_sbm(ConnectivityMatrix(0.6, 0.2, 0.2, 0.6), 12, 12, False,
+                   rng).graph
+    fit = greedy_fit(g, obj, FitConfig(restarts=1, seed=2))
+    lab, c = fit.labels.labels, graph_constants(g)
+
+    def audit(cur):
+        optimizer._audit(g, lab, obj, c, cur, lambda r1, r2: True)
+
+    audit(fit.value)
+    for off in (np.inf, -np.inf):
+        with pytest.raises(RuntimeError, match="drifted"):
+            audit(float(np.nextafter(fit.value, off)))
+
+
+def test_value_is_the_statistic_at_its_labels_above_n_9743():
+    """Far above N = 9,743 a fit's value is still z_w, -z_w or z_d of its
+    labels bit for bit: the search's tables and the scalar statistics share
+    one moment coding."""
+    g = sparse_graph(12000, 6, seed=1)
+    c = graph_constants(g)
+    for obj, fn, sign in [(Objective.ZW_MAX, z_w, 1), (Objective.ZW_MIN, z_w, -1),
+                          (Objective.ZD_MAX, z_d, 1)]:
+        fit = greedy_fit(g, obj, FitConfig(restarts=1, seed=0))
+        assert fit.value == sign * fn(g, fit.labels, c)
+
+
+def test_search_kernel_is_the_statistic_above_n_9743():
+    """The search's Z kernel on its coefficient table equals z_w, -z_w or
+    z_d bit for bit on random labelings of an N = 30,000 graph, where
+    scalar moments divided as exact integers would differ from it on about
+    a quarter of them."""
+    n = 30000
+    g = sparse_graph(n, 6, seed=1)
+    c = graph_constants(g)
+    objs = [Objective.ZW_MAX, Objective.ZW_MIN, Objective.ZD_MAX]
+    coef, scales = optimizer._z_coefficients(objs, c, 2)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        lab = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(np.int8)
+        m = int(lab.sum())
+        r1, r2 = optimizer.within_counts(g, lab)
+        zw = z_w(g, lab, c)
+        for k, want in enumerate([zw, -zw, z_d(g, lab, c)]):
+            slot = k * (n + 3) + 1 + m  # slot 1 + m of block k
+            got = optimizer._z_at(coef, scales[k], slot, float(r1), float(r2))
+            assert float(got) == want
 
 
 def sparse_graph(n, mean_degree, seed):
