@@ -21,7 +21,7 @@ from .edgestats import (Partition, modularity_q, perm_null_moments, q_d, r_d,
                         r_w, within_counts, z_d, z_w)
 from .evaluation import EvalRecord, misclassification_rate
 from .genmodels import (ConnectivityMatrix, ThetaSpec, replicate_rngs,
-                        sample_dcsbm, sample_sbm)
+                        sample_dcsbm)
 from .graph import GraphFormatError, graph_constants, load_edge_list
 from .optimizer import FitConfig, Objective, fit_all_candidates, greedy_fit
 from .selection import (DEFAULT_LAMBDA, DegenerateError, check_lambda,
@@ -225,12 +225,10 @@ _CSV_COLUMNS = ("rep", "eps_zw_max", "eps_zw_min", "eps_zd",
 
 def _simulate_one(args, p, theta, rep):
     """Replicate ``rep``: sample, fit, select; its CSV row in
-    ``_CSV_COLUMNS`` order.  ``theta`` is None for the plain SBM."""
+    ``_CSV_COLUMNS`` order.  ``theta`` is the constant spec for the plain
+    SBM, the DCSBM with theta = 1."""
     rng, fit_seed = replicate_rngs(args.seed, rep)
-    if theta is None:
-        pg = sample_sbm(p, args.m, args.n, args.directed, rng)
-    else:
-        pg = sample_dcsbm(p, args.m, args.n, theta, args.directed, rng)
+    pg = sample_dcsbm(p, args.m, args.n, theta, args.directed, rng)
     cfg = FitConfig(restarts=args.restarts, seed=fit_seed)
     candidates = fit_all_candidates(pg.graph, cfg)
     eps = {kind: misclassification_rate(pg.truth, fit.labels)
@@ -247,7 +245,8 @@ def _simulate_one(args, p, theta, rep):
 
 def cmd_simulate(args):
     p = ConnectivityMatrix(args.p11, args.p12, args.p21, args.p22)
-    theta = ThetaSpec.parse(args.theta) if args.model == "dcsbm" else None
+    theta = (ThetaSpec.parse(args.theta) if args.model == "dcsbm"
+             else ThetaSpec.constant1())
     if args.m < 2 or args.n < 2:
         raise ValueError("need m, n >= 2")
     if args.reps < 1:

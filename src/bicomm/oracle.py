@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .genmodels import ConnectivityMatrix
+from .genmodels import ConnectivityMatrix, _conditions
 from .graph import Graph, _integer
 from .edgestats import within_counts
 
@@ -55,13 +55,11 @@ def expected_edge_total(p: ConnectivityMatrix, m: int, n: int, directed: bool):
 def _drifts(p: ConnectivityMatrix, m: int, n: int, d1, d2):
     """(rdc, rwc, d_condition, w_condition): the centered population
     statistics E(R_d - mu_d) and E(R_w - mu_w) in their factored closed
-    forms, for scalar or array d1, d2, and their leading factors (ordered
-    pairs; halve both statistics for an undirected graph)."""
-    p11, p22 = p.p11, p.p22
-    pc = p.p12 + p.p21
+    forms, for scalar or array d1, d2, and their leading factors,
+    ``genmodels._conditions`` at a, b = m - 1, n - 1 (ordered pairs; halve
+    both statistics for an undirected graph)."""
     big_n = m + n
-    d_cond = 2 * (m - 1) * p11 - 2 * (n - 1) * p22 - (m - n) * pc
-    w_cond = p11 + p22 - p.p12 - p.p21
+    d_cond, w_cond = _conditions(p, m - 1, n - 1)
     rdc = (m * n / big_n) * d_cond * (1 - d1 / m - d2 / n)
     rwc = (m * n * (m - 1) * (n - 1) / ((big_n - 1) * (big_n - 2))
            * w_cond
@@ -129,13 +127,18 @@ class TheoremGridReport:
             self.w_raw_at_truth, self.w_ratio_at_truth))
 
 
-def _extremum_at_corners(grid, corner_vals, maximize, scale):
-    ext = np.nanmax(grid) if maximize else np.nanmin(grid)
-    best_corner = max(corner_vals) if maximize else min(corner_vals)
-    tol = _REL_TOL * (1.0 + abs(ext)) * scale
-    if maximize:
-        return bool(ext <= best_corner + tol)
-    return bool(ext >= best_corner - tol)
+def _corner_check(stat, ratio, sign, scale):
+    """(raw, ratio, argext) for one statistic over the (d1, d2) grid:
+    whether the maximum of ``sign * stat`` and of ``sign * ratio`` sits at
+    the corner (0, 0) or (m, n), up to a tolerance relative to ``scale``,
+    and where ``sign * ratio`` peaks (NaN cells skipped)."""
+    at_corner = []
+    for grid in (sign * stat, sign * ratio):
+        ext = np.nanmax(grid)
+        tol = _REL_TOL * (1.0 + abs(ext)) * scale
+        at_corner.append(bool(ext <= max(grid[0, 0], grid[-1, -1]) + tol))
+    flat = int(np.nanargmax(sign * ratio))
+    return (*at_corner, divmod(flat, ratio.shape[1]))
 
 
 def verify_theorem_2_3(p: ConnectivityMatrix, m: int, n: int) -> TheoremGridReport:
@@ -154,8 +157,6 @@ def verify_theorem_2_3(p: ConnectivityMatrix, m: int, n: int) -> TheoremGridRepo
 
     d1 = np.arange(m + 1, dtype=np.float64)[:, None]
     d2 = np.arange(n + 1, dtype=np.float64)[None, :]
-    p11, p22 = p.p11, p.p22
-    pc = p.p12 + p.p21
     big_n = m + n
     rdc, rwc, d_cond, w_cond = _drifts(p, m, n, d1, d2)
 
@@ -167,32 +168,14 @@ def verify_theorem_2_3(p: ConnectivityMatrix, m: int, n: int) -> TheoremGridRepo
         ratio_d = np.where(shape_d > 0, rdc / shape_d, np.nan)
         ratio_w = np.where(shape_w > 0, rwc / shape_w, np.nan)
 
-    corners = [(0, 0), (m, n)]
-    scale_d = abs(d_cond) * m * n / big_n + 1.0
-    scale_w = abs(w_cond) * m * n + 1.0
-
-    if abs(d_cond) < 1e-12 * (abs(p11) + abs(p22) + pc + 1.0) * big_n:
-        d_raw = d_ratio = None
-        d_arg = None
-    else:
-        d_raw = _extremum_at_corners(
-            rdc, [rdc[i, j] for i, j in corners], True, scale_d)
-        d_ratio = _extremum_at_corners(
-            ratio_d, [ratio_d[i, j] for i, j in corners], True, scale_d)
-        flat = np.nanargmax(ratio_d)
-        d_arg = (int(flat // (n + 1)), int(flat % (n + 1)))
-
-    if abs(w_cond) < 1e-12 * (abs(p11) + abs(p22) + pc + 1.0):
-        w_raw = w_ratio = None
-        w_arg = None
-    else:
-        maximize = w_cond > 0
-        w_raw = _extremum_at_corners(
-            rwc, [rwc[i, j] for i, j in corners], maximize, scale_w)
-        w_ratio = _extremum_at_corners(
-            ratio_w, [ratio_w[i, j] for i, j in corners], maximize, scale_w)
-        flat = np.nanargmax(ratio_w) if maximize else np.nanargmin(ratio_w)
-        w_arg = (int(flat // (n + 1)), int(flat % (n + 1)))
+    # a condition this small against the densities makes its statistic
+    # vanish identically: the claim is vacuous (None)
+    zero = 1e-12 * (abs(p.p11) + abs(p.p22) + (p.p12 + p.p21) + 1.0)
+    d_raw, d_ratio, d_arg = (None,) * 3 if abs(d_cond) < zero * big_n else (
+        _corner_check(rdc, ratio_d, 1.0, abs(d_cond) * m * n / big_n + 1.0))
+    w_raw, w_ratio, w_arg = (None,) * 3 if abs(w_cond) < zero else (
+        _corner_check(rwc, ratio_w, 1.0 if w_cond > 0 else -1.0,
+                      abs(w_cond) * m * n + 1.0))
 
     return TheoremGridReport(
         d_condition=float(d_cond), w_condition=float(w_cond),

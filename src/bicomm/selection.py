@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edgestats import Partition, _block_counts, as_labels
-from .genmodels import ConnectivityMatrix
+from .genmodels import ConnectivityMatrix, _conditions, _pair_probs
 from .graph import Graph
 from .optimizer import CANDIDATE_KINDS, FitResult, _per_candidate
 
@@ -93,26 +93,28 @@ def _block_estimates(g, lab, counts):
         pi_hat=(m_x / n, n_x / n), sizes=(m_x, n_x))
 
 
-def gamma_sq(est: BlockEstimates) -> float:
-    """Squared core-periphery signal: how far the difference statistic's
-    population drift is from zero, normalized by the largest block density."""
+def _signal_sq(est, which):
+    """num^2 / pmax for condition ``which`` of ``genmodels._conditions`` at
+    the plug-in densities and group proportions (0 when every density is)."""
     p = est.p_hat
     pmax = max(p.p11, p.p12, p.p21, p.p22)
     if pmax == 0.0:
         return 0.0
-    pi1, pi2 = est.pi_hat
-    num = 2 * pi1 * p.p11 - 2 * pi2 * p.p22 - (pi1 - pi2) * (p.p12 + p.p21)
+    num = _conditions(p, *est.pi_hat)[which]
     return num * num / pmax
+
+
+def gamma_sq(est: BlockEstimates) -> float:
+    """Squared core-periphery signal: the d-condition of
+    ``genmodels._conditions`` at the group proportions, 2 pi1 P11 - 2 pi2 P22
+    - (pi1 - pi2)(P12 + P21), squared over the largest block density."""
+    return _signal_sq(est, 0)
 
 
 def tau_sq(est: BlockEstimates) -> float:
-    """Squared (dis)assortativity signal for the weighted statistic."""
-    p = est.p_hat
-    pmax = max(p.p11, p.p12, p.p21, p.p22)
-    if pmax == 0.0:
-        return 0.0
-    num = p.p11 + p.p22 - p.p12 - p.p21
-    return num * num / pmax
+    """Squared (dis)assortativity signal for the weighted statistic: the
+    w-condition P11 + P22 - P12 - P21, squared over the largest density."""
+    return _signal_sq(est, 1)
 
 
 def check_lambda(lam: float) -> float:
@@ -171,6 +173,11 @@ def gamma_tau_select(g: Graph, candidates: dict[str, FitResult]) -> SelectionOut
 
 
 def theta_mle(g: Graph, x) -> ThetaEstimates:
+    """Degree-corrected multipliers under the labeling ``x``: each node's
+    incident degree (in + out when directed) over its group's mean degree,
+    so they average 1 within a group, and each group's population variance
+    of them.  A group with no edges keeps theta = 1; an empty group adds
+    variance 0."""
     lab = as_labels(x, g.n_nodes)
     deg = g.k_inc.astype(np.float64)
     theta = np.ones(g.n_nodes)
@@ -260,7 +267,7 @@ def _penalized_details(g, x, lam, kind, layout=None):
     est = _block_estimates(g, lab, counts)
     th = theta_mle(g, x)
     # theta_hat is a function of (block, degree), so every pair term is one
-    # of a (class, class) table, each entry built as (P_ab * theta_i) * theta_j
+    # of a (class, class) table of the sampler's pair probabilities
     deg = g.k_inc
     span = int(deg.max()) + 1
     key = np.where(lab == 1, 0, span) + deg
@@ -269,9 +276,7 @@ def _penalized_details(g, x, lam, kind, layout=None):
     ct = np.empty(present.size)
     ct[cls] = th.theta_hat
     cb = present // span
-    tab = est.p_hat.as_array()[cb[:, None], cb]
-    tab *= ct[:, None]
-    tab *= ct
+    tab = _pair_probs(est.p_hat, cb, ct)
     flag = (tab < _CLAMP_EPS) | (tab > 1.0 - _CLAMP_EPS)
     np.clip(tab, _CLAMP_EPS, 1.0 - _CLAMP_EPS, out=tab)
     link = np.log(tab)

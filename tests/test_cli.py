@@ -167,6 +167,18 @@ def test_moments_rejects_singleton_group(tmp_path):
                  "--undirected"]) == 3
 
 
+def test_moments_rejects_a_label_file_one_line_short(tmp_path, capsys):
+    path = tmp_path / "path5.edges"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n")
+    labels = write_labels(tmp_path, "short.labels", [1, 1, 0, 0])
+    out = tmp_path / "m.json"
+    assert main(["moments", "--edges", str(path), "--labels", labels,
+                 "--undirected", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {labels}: 4 labels for a graph with 5 nodes\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["auto", "zd"])
 def test_detect_warm_start_with_a_singleton_group_exits_3(
         tmp_path, two_clique_file, method, capsys):
@@ -377,7 +389,7 @@ def test_bad_lambda_stops_before_any_work(tmp_path, two_clique_file, lam,
     out = tmp_path / "report.json"
     boom = mock.Mock(side_effect=AssertionError("ran past a bad lambda"))
     with mock.patch("bicomm.cli.fit_all_candidates", boom), \
-            mock.patch("bicomm.cli.sample_sbm", boom), \
+            mock.patch("bicomm.cli.sample_dcsbm", boom), \
             mock.patch("bicomm.cli.load_edge_list", boom):
         assert main(["detect", "--edges", two_clique_file, "--undirected",
                      f"--lambda={lam}", "--out", str(out)]) == 2
@@ -399,7 +411,7 @@ def test_bad_fit_config_stops_before_any_work(tmp_path, two_clique_file, flag,
     out = tmp_path / "report.json"
     boom = mock.Mock(side_effect=AssertionError(f"ran past a bad {flag}"))
     with mock.patch("bicomm.cli.fit_all_candidates", boom), \
-            mock.patch("bicomm.cli.sample_sbm", boom), \
+            mock.patch("bicomm.cli.sample_dcsbm", boom), \
             mock.patch("bicomm.cli.load_edge_list", boom):
         assert main(["detect", "--edges", two_clique_file, "--undirected",
                      f"{flag}={value}", "--out", str(out)]) == 2

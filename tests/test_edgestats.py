@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,18 @@ def test_partition_sizes_and_complement():
     assert p.complement().labels.tolist() == [0, 0, 1, 1, 0]
     with pytest.raises(ValueError):
         Partition([0, 1, 2])
+
+
+def test_partition_pickle_round_trip_stays_read_only():
+    """Candidate workers return their Partitions through pickle: the copy
+    equals the original and its labels are read-only int8."""
+    part = Partition([1, 0, 1, 1, 0])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(part, protocol=protocol))
+        assert copy == part and copy is not part
+        assert copy.labels.dtype == np.int8
+        with pytest.raises(ValueError, match="read-only"):
+            copy.labels[0] = 0
 
 
 def test_within_counts_directed():

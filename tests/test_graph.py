@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicomm.edgestats import q_d, r_w
 from bicomm.genmodels import (ConnectivityMatrix, ThetaSpec, replicate_rngs,
                               sample_dcsbm, sample_sbm, sample_theta)
 from bicomm.graph import (Graph, GraphFormatError, graph_constants,
@@ -103,6 +104,46 @@ def test_entry_points_refuse_non_integral_sizes_and_seeds(name, call):
     non-integral value is refused, not truncated."""
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(np.random.default_rng(0))
+
+
+# (case, call, message): public calls with a value outside their domain;
+# the ValueError's message is matched whole
+REFUSALS = [
+    ("graph-no-nodes", lambda rng: Graph(0, [], False),
+     "graph needs at least one node"),
+    ("graph-three-columns", lambda rng: Graph(4, [[0, 1, 2]], False),
+     "edges must be an (E, 2) array"),
+    ("degrees-directed", lambda rng: Graph(4, [(0, 1)], True).degrees,
+     "degrees is undirected-only; use k_inc"),
+    ("r_w-two-nodes", lambda rng: r_w(Graph(2, [(0, 1)], False), [1, 0]),
+     "R_w needs at least 3 nodes"),
+    ("q_d-empty-graph", lambda rng: q_d(Graph(4, [], False), [1, 1, 0, 0]),
+     "q_d is undefined on an empty graph"),
+    ("exhaustive_fit-min-group-1",
+     lambda rng: exhaustive_fit(_CYCLE, Objective.ZW_MAX, min_group=1),
+     "min_group must be >= 2"),
+    ("theta-const-with-parameter", lambda rng: ThetaSpec("const", 1.0),
+     "const takes no parameter"),
+    ("theta-unknown-kind", lambda rng: ThetaSpec("lognormal"),
+     "unknown theta kind 'lognormal'"),
+    ("theta-parse-bad-parameter", lambda rng: ThetaSpec.parse("pareto:abc"),
+     "bad theta parameter 'abc'"),
+    ("sample_theta-negative-count", lambda rng: sample_theta(_SPEC, -1, rng),
+     "count must be >= 0"),
+    ("sample_sbm-one-node-community",
+     lambda rng: sample_sbm(_P, 1, 5, False, rng),
+     "each community needs at least 2 nodes"),
+    ("verify_theorem_2_3-one-node-community",
+     lambda rng: verify_theorem_2_3(_P, 1, 5), "need m, n >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_public_calls_refuse_values_outside_their_domain(call, message):
+    with pytest.raises(ValueError) as info:
+        call(np.random.default_rng(0))
+    assert str(info.value) == message
 
 
 def test_integral_float_sizes_and_seeds_are_kept_as_ints():

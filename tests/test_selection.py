@@ -130,6 +130,18 @@ def test_theta_mle_zero_degree_block():
     assert th.var_block2 == 0.0
 
 
+def test_theta_mle_one_group_labelling():
+    # every node in one group: the other, empty, group adds variance 0
+    g = Graph(4, np.array([(0, 1), (0, 2), (0, 3)]), directed=False)
+    for x in ([1, 1, 1, 1], [0, 0, 0, 0]):
+        th = theta_mle(g, x)
+        assert th.theta_hat.tolist() == [2.0, 2 / 3, 2 / 3, 2 / 3]
+        full, empty = ((th.var_block1, th.var_block2) if x[0]
+                       else (th.var_block2, th.var_block1))
+        assert full == pytest.approx(1 / 3)
+        assert empty == 0.0
+
+
 def test_penalty_vanishes_for_homogeneous_blocks():
     g = two_triangles()
     x = [1, 1, 1, 0, 0, 0]
