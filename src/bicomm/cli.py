@@ -255,8 +255,10 @@ def cmd_simulate(args):
         raise ValueError("need jobs >= 1")
 
     one = functools.partial(_simulate_one, args, p, theta)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker at its first submit, so none idle
+    workers = min(args.jobs, args.reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(one, range(args.reps)))  # in rep order
     else:
         rows = [one(rep) for rep in range(args.reps)]

@@ -254,28 +254,45 @@ def z_d(g: Graph, x, c: GraphConstants | None = None):
     return _z(g, x, c, False)
 
 
-def _degree_group_sums(g, lab):
-    """(ko1, ki1, ko0, ki0): out- and in-degree totals of group 1 and of
-    group 0, for one (N,) labeling or a (K, N) stack of them.  The sums are
-    exact integers, returned as float64."""
-    ko1 = (lab @ g.k_out).astype(np.float64)
-    ki1 = (lab @ g.k_in).astype(np.float64)
-    return ko1, ki1, float(g.k_out.sum()) - ko1, float(g.k_in.sum()) - ki1
+def _out_degree_sum(g, lab):
+    """Group 1's out-degree total ko1 for one (N,) labeling or a (K, N)
+    stack of them: exact integers, returned as float64."""
+    return (lab @ g.k_out).astype(np.float64)
 
 
-def _q_values(signed, r1, r2, ko1, ki1, ko0, ki0, g):
-    """Q (or Q_d when ``signed``) on graph ``g`` from within counts and
-    block degree sums; works on scalars or arrays."""
+def _q_values(signed, r1, r2, ko1, g):
+    """Q (or Q_d when ``signed``) on graph ``g`` from the within counts R1,
+    R2 and group 1's out-degree total ko1; works on scalars or arrays.
+
+    The one coding of Q and Q_d.  Group 1's in-degree total is
+    |E| + R1 - R2 - ko1 when directed (every edge but the R2 + (ko1 - R1)
+    whose head is in group 0) and ko1 itself when undirected; group 0's
+    totals are the graph's, |E| directed and 2|E| undirected, less
+    group 1's.  Every total is an exact integer in float64.
+    """
     r1 = np.asarray(r1, dtype=np.float64)
     r2 = np.asarray(r2, dtype=np.float64)
     total = float(g.n_edges)
     if g.directed:
+        ki1 = total + r1 - r2 - ko1
+        ko0, ki0 = total - ko1, total - ki1
         t1 = r1 - ko1 * ki1 / total
         t2 = r2 - ko0 * ki0 / total
     else:
-        t1 = 2.0 * r1 - ko1 * ki1 / (2.0 * total)
-        t2 = 2.0 * r2 - ko0 * ki0 / (2.0 * total)
+        ko0 = 2.0 * total - ko1
+        t1 = 2.0 * r1 - ko1 * ko1 / (2.0 * total)
+        t2 = 2.0 * r2 - ko0 * ko0 / (2.0 * total)
     return t1 - t2 if signed else t1 + t2
+
+
+def _q_of_labels(g, x, signed, name):
+    """Q or Q_d of labeling x by ``_q_values``, or an error naming
+    ``name`` on an empty graph."""
+    if g.n_edges == 0:
+        raise ValueError(f"{name} is undefined on an empty graph")
+    lab = as_labels(x, g.n_nodes)
+    r1, r2 = _within(g, lab)[:2]
+    return float(_q_values(signed, r1, r2, _out_degree_sum(g, lab), g))
 
 
 def modularity_q(g: Graph, x):
@@ -285,31 +302,17 @@ def modularity_q(g: Graph, x):
     Undirected: sum_ij (A_ij - k_i k_j / (2 m)) over pairs in the same
     community (m the undirected edge count).  Directed: A_ij - k_i^out
     k_j^in / |G|.  The diagonal is included in the degree-product term, which
-    makes the all-in-one-community value exactly 0.
+    makes the all-in-one-community value exactly 0.  Scored by
+    ``_q_values``, the coding the search prices with, so a ``modularity``
+    fit's value is this function of its labels, bit for bit.
     """
-    if g.n_edges == 0:
-        raise ValueError("modularity is undefined on an empty graph")
-    lab = as_labels(x, g.n_nodes)
-    r1, r2 = _within(g, lab)[:2]
-    ko1, ki1, ko0, ki0 = _degree_group_sums(g, lab)
-    # Not routed through _q_values: its t1 + t2 sums in another order, which
-    # changes the last bit of Q (and the ``bicomm moments`` JSON) on about a
-    # third of random labelings.
-    if g.directed:
-        tot = float(g.n_edges)
-        return float((r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot)
-    tot = 2.0 * g.n_edges
-    return float(2.0 * (r1 + r2) - (ko1 * ki1 + ko0 * ki0) / tot)
+    return _q_of_labels(g, x, False, "modularity")
 
 
 def q_d(g: Graph, x):
     """Signed variant of Q: community-1 terms count +1, community-0 terms
     count -1, cross pairs 0.  Antisymmetric under label complement."""
-    if g.n_edges == 0:
-        raise ValueError("q_d is undefined on an empty graph")
-    lab = as_labels(x, g.n_nodes)
-    r1, r2 = _within(g, lab)[:2]
-    return float(_q_values(True, r1, r2, *_degree_group_sums(g, lab), g))
+    return _q_of_labels(g, x, True, "q_d")
 
 
 def flip_delta(g: Graph, x, i: int):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edgestats import (Partition, _degree_group_sums, _q_values,
+from .edgestats import (Partition, _out_degree_sum, _q_values,
                         _z_from_counts, as_labels, moment_arrays,
                         within_counts)
 from .graph import Graph, _edge_keys, _integer, graph_constants
@@ -228,8 +228,8 @@ class _Lanes:
     are the changes of R1/R2 if it flips: +w1/-w0 for a node labelled 0,
     -w1/+w0 for one labelled 1, with w1/w0 its incident edges whose other
     end is labelled 1/0.  Per lane: R1, R2, m1, the current value and, for
-    the modularity objectives, group 1's degree sums (group 0's are the
-    totals ``ko_all``/``ki_all`` less these, exact in float64).  Every
+    the modularity objectives, group 1's out-degree total ko1, from which
+    ``_q_values`` derives the other degree totals.  Every
     running lane has made the same number of flips; a lane that stops is
     recorded and its row dropped.  A flip moves d1 and d2 of the flipped
     node's neighbours: on graphs of at most ``_DENSE_MAX_N`` nodes by the
@@ -283,12 +283,9 @@ class _Lanes:
             self.toff = np.ones(n_lanes, dtype=np.intp)
             self.signed = objs[0] is Objective.QD_MAX
             self.k_out = g.k_out.astype(np.float64)
-            self.k_in = g.k_in.astype(np.float64)
-            self.ko_all, self.ki_all = self.k_out.sum(), self.k_in.sum()
-            sums = _degree_group_sums(g, self.sg < 0)
-            self.ko1, self.ki1 = sums[:2]
-            self.cur = _q_values(self.signed, self.r1, self.r2, *sums, g)
-            self.fields = ("ko1", "ki1")
+            self.ko1 = _out_degree_sum(g, self.sg < 0)
+            self.cur = _q_values(self.signed, self.r1, self.r2, self.ko1, g)
+            self.fields = ("ko1",)
         self.fields += ("lane", "sg", "d1", "d2", "r1", "r2", "m1", "cur", "toff")
         self.rows_n = self.lane * n
 
@@ -309,10 +306,7 @@ class _Lanes:
             return _z_at(self.table, self.scale[:, None], idx, r1n, r2n)
         ko1n = self.sg * self.k_out
         ko1n += self.ko1[:, None]
-        ki1n = self.sg * self.k_in
-        ki1n += self.ki1[:, None]
-        v = _q_values(self.signed, r1n, r2n, ko1n, ki1n,
-                      self.ko_all - ko1n, self.ki_all - ki1n, self.g)
+        v = _q_values(self.signed, r1n, r2n, ko1n, self.g)
         v -= self.table.take(idx)
         return v
 
@@ -331,7 +325,6 @@ class _Lanes:
         self.cur = value
         if not self.z_family:
             self.ko1 += up * self.k_out[best]
-            self.ki1 += up * self.k_in[best]
         if self.adj is not None:
             # every flipped node's row of incident-edge counts
             delta = self.adj.take(best, axis=0)
@@ -378,7 +371,8 @@ def _audit(g, lab, obj, c, cur, counts_hold):
     ``cur`` equals, bit for bit, the objective scored from that one
     recount: Z by ``_z_from_counts`` (which the search's tables reproduce
     exactly, see ``_z_coefficients``), Q and Q_d by ``_q_values`` on the
-    recount and the group degree sums, the coding the lanes price with."""
+    recount and group 1's out-degree total, the coding the lanes price
+    with."""
     r1, r2 = within_counts(g, lab)
     if obj in _Z_FAMILY:
         m_x = int(np.count_nonzero(lab))
@@ -387,7 +381,7 @@ def _audit(g, lab, obj, c, cur, counts_hold):
         fresh = -fresh if obj is Objective.ZW_MIN else fresh
     else:
         fresh = _q_values(obj is Objective.QD_MAX, r1, r2,
-                          *_degree_group_sums(g, lab), g)
+                          _out_degree_sum(g, lab), g)
     if not counts_hold(r1, r2) or fresh != cur:
         raise RuntimeError("incremental bookkeeping drifted from "
                            "the from-scratch objective")
@@ -753,8 +747,8 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
     xh, xl = _all_labelings(h), _all_labelings(n - h)
     u = np.zeros((n, n))
     np.add.at(u.reshape(-1), _edge_keys(g.edges, n, directed=False), 1.0)
-    # group 1's out-, in- and incident-edge totals
-    w = np.stack([g.k_out, g.k_in, g.k_inc], axis=1).astype(np.float64)
+    # group 1's out- and incident-edge totals
+    w = np.stack([g.k_out, g.k_inc], axis=1).astype(np.float64)
 
     def half(x, s):
         """Within-half R1 and the group-1 sums of each labeling."""
@@ -781,15 +775,12 @@ def exhaustive_fit(g: Graph, obj: Objective, min_group: int = 2) -> FitResult:
         r1 = cross[top:top + step] @ xlt
         r1 += hs[:, 0] + sl[:, 0]
         slot = mh[top:top + step] + ml
-        r2 = g.n_edges - (hs[:, 3] + sl[:, 3]) + r1
+        r2 = g.n_edges - (hs[:, 2] + sl[:, 2]) + r1
         if obj in _Z_FAMILY:  # a size the search may not visit prices -inf
             vals = _z_at(coef, scales[0], slot, r1, r2)
         else:
-            ko1 = hs[:, 1] + sl[:, 1]
-            ki1 = hs[:, 2] + sl[:, 2]
-            vals = _q_values(obj is Objective.QD_MAX, r1, r2, ko1, ki1,
-                             float(g.k_out.sum()) - ko1,
-                             float(g.k_in.sum()) - ki1, g)
+            vals = _q_values(obj is Objective.QD_MAX, r1, r2,
+                             hs[:, 1] + sl[:, 1], g)
             vals -= kill[slot]
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if at is None or vals[i, j] > best:  # ties keep the earlier vector

@@ -8,8 +8,8 @@ Python loop over the edges across a (2^N, N) label matrix; test-only.
 
 import numpy as np
 
-from bicomm.edgestats import (Partition, _degree_group_sums, _q_values,
-                              as_labels, moment_arrays, within_counts)
+from bicomm.edgestats import (Partition, as_labels, moment_arrays,
+                              within_counts)
 from bicomm.graph import graph_constants
 from bicomm.optimizer import (_IMPROVE_EPS, _Z_FAMILY, FitConfig, FitResult,
                               Objective, _random_valid_labels)
@@ -41,6 +41,23 @@ def _z_values(kind, r1, r2, m, n_nodes, tables):
             if kind is Objective.ZW_MIN:
                 z = -z
     return z
+
+
+def _q_from_totals(signed, r1, r2, ko1, ki1, ko0, ki0, g):
+    """Q (or Q_d when ``signed``) from within counts and all four group
+    degree totals, each tracked by the caller; works on scalars or arrays.
+    Independent of ``bicomm.edgestats._q_values``, which derives three of
+    the totals from R1, R2 and ko1, and equal to it bit for bit."""
+    r1 = np.asarray(r1, dtype=np.float64)
+    r2 = np.asarray(r2, dtype=np.float64)
+    total = float(g.n_edges)
+    if g.directed:
+        t1 = r1 - ko1 * ki1 / total
+        t2 = r2 - ko0 * ki0 / total
+    else:
+        t1 = 2.0 * r1 - ko1 * ki1 / (2.0 * total)
+        t2 = 2.0 * r2 - ko0 * ki0 / (2.0 * total)
+    return t1 - t2 if signed else t1 + t2
 
 
 def reference_greedy_fit(g, obj, cfg=None):
@@ -105,7 +122,7 @@ def reference_greedy_fit(g, obj, cfg=None):
             ki1 = float(k_in[sel].sum())
             ko0 = float(k_out.sum() - ko1)
             ki0 = float(k_in.sum() - ki1)
-            cur = float(_q_values(signed, r1, r2, ko1, ki1, ko0, ki0, g))
+            cur = float(_q_from_totals(signed, r1, r2, ko1, ki1, ko0, ki0, g))
 
         iters = 0
         while iters < max_iters:
@@ -121,8 +138,8 @@ def reference_greedy_fit(g, obj, cfg=None):
             else:
                 ko1n = ko1 + np.where(is1, -k_out, k_out)
                 ki1n = ki1 + np.where(is1, -k_in, k_in)
-                vals = _q_values(signed, r1n, r2n, ko1n, ki1n,
-                                 ko0 + ko1 - ko1n, ki0 + ki1 - ki1n, g)
+                vals = _q_from_totals(signed, r1n, r2n, ko1n, ki1n,
+                                      ko0 + ko1 - ko1n, ki0 + ki1 - ki1n, g)
             vals = np.where(valid, vals, -np.inf)
             vals = np.where(np.isnan(vals), -np.inf, vals)
             b = int(np.argmax(vals))
@@ -196,8 +213,11 @@ def reference_exhaustive_fit(g, obj, min_group=2):
         vals = _z_values(obj, r1, r2, m, n, tables)
         degenerate = _degenerate_everywhere(obj, tables, n, min_group)
     else:
-        vals = _q_values(obj is Objective.QD_MAX, r1, r2,
-                         *_degree_group_sums(g, vecs), g)
+        ko1 = (vecs @ g.k_out).astype(np.float64)
+        ki1 = (vecs @ g.k_in).astype(np.float64)
+        vals = _q_from_totals(obj is Objective.QD_MAX, r1, r2, ko1, ki1,
+                              float(g.k_out.sum()) - ko1,
+                              float(g.k_in.sum()) - ki1, g)
     vals = np.where(valid, vals, -np.inf)
     b = int(np.argmax(vals))
     return FitResult(labels=Partition(vecs[b]), value=float(vals[b]),

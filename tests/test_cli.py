@@ -280,6 +280,38 @@ def test_simulate_jobs_do_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("jobs, reps, workers", [(8, 4, 4), (3, 4, 3),
+                                                  (8, 1, None)])
+def test_simulate_pool_has_no_more_workers_than_reps(tmp_path, jobs, reps,
+                                                     workers):
+    """``simulate --jobs J --reps R`` asks for min(J, R) workers and runs
+    serially when that is 1, with the bytes of ``--jobs 1``.  The pool is
+    a fake that maps in this process, so no worker starts."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = SIM_ARGS + ["--reps", str(reps)]  # the last --reps counts
+    a = tmp_path / "serial.csv"
+    b = tmp_path / "pool.csv"
+    assert main(argv + ["--out", str(a)]) == 0
+    with mock.patch("bicomm.cli.ProcessPoolExecutor", FakePool):
+        assert main(argv + ["--jobs", str(jobs), "--out", str(b)]) == 0
+    assert asked == ([] if workers is None else [workers])
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_worker_path_simulate_jobs_never_nest_workers(tmp_path, monkeypatch):
     """With the fork gate below the graph size, ``simulate --jobs 2`` writes
     the bytes of ``--jobs 1``, and its pool workers keep the serial path:

@@ -231,6 +231,11 @@ def test_q_d_is_identically_zero(n, density, seed):
             lab = [(v >> (n - 1 - i)) & 1 for i in range(n)]
             assert exact_q_d(g, lab) == 0
             assert abs(q_d(g, lab)) < 1e-9
+            # group 1's degree totals from R1, R2 and ko1, as _q_values
+            # derives them
+            r1, r2 = within_counts(g, lab)
+            ko1, ki1 = int(np.dot(lab, g.k_out)), int(np.dot(lab, g.k_in))
+            assert (ki1 + ko1 if directed else ko1) == g.n_edges + r1 - r2
         if n >= 5:
             fit = greedy_fit(g, Objective.QD_MAX, FitConfig(restarts=3))
             starts = [_random_valid_labels(np.random.default_rng(r), n, 2)

@@ -88,18 +88,15 @@ def test_exhaustive_above_sixteen_nodes(g):
     own labels."""
     statistic = {Objective.ZW_MAX: lambda lab: z_w(g, lab),
                  Objective.ZW_MIN: lambda lab: -z_w(g, lab),
-                 Objective.ZD_MAX: lambda lab: z_d(g, lab)}
+                 Objective.ZD_MAX: lambda lab: z_d(g, lab),
+                 Objective.Q_MAX: lambda lab: modularity_q(g, lab),
+                 Objective.QD_MAX: lambda lab: q_d(g, lab)}
     for obj in Objective:
         ex = exhaustive_fit(g, obj)
         greedy = greedy_fit(g, obj, FitConfig(restarts=50, seed=1))
         assert ex.value >= greedy.value
         assert 2 <= ex.labels.m_x <= g.n_nodes - 2
-        if obj in statistic:
-            assert float(ex.value).hex() == float(statistic[obj](ex.labels)).hex()
-        else:
-            q = modularity_q if obj is Objective.Q_MAX else q_d
-            assert ex.value == pytest.approx(q(g, ex.labels), rel=1e-12,
-                                              abs=1e-12)
+        assert float(ex.value).hex() == float(statistic[obj](ex.labels)).hex()
 
 
 # The block matrices of acceptance criterion 9, one per mixing type.
